@@ -9,15 +9,6 @@ namespace mstc::core {
 
 namespace {
 
-/// Assembles a ViewGraph from one chosen position list per view member
-/// (owner first). Owner-neighbor links always exist (the neighbor was
-/// heard); neighbor-neighbor links exist only when their viewed distance
-/// can be certified <= normal_range (max over version combinations).
-///
-/// Reads only the `.position` of each record — together with the member
-/// ids this makes the assembled view (and, by protocol purity, the
-/// selection) an exact function of (ids, position bits, normal_range,
-/// cost), which is what the controller's recompute cache fingerprints.
 /// Conservative squared-distance rejection threshold for the pre-filter
 /// below. fl(dx*dx + dy*dy) carries at most ~3 ulp (~7e-16) relative error
 /// and std::hypot at most a few ulps, so the 1e-12 relative margin exceeds
@@ -28,6 +19,16 @@ namespace {
 /// margin fall through to the exact check, so results are byte-identical.
 constexpr double kRejectMargin = 1.0 + 1e-12;
 
+/// Assembles a ViewGraph from one chosen position list per view member
+/// (owner first). Owner-neighbor links always exist (the neighbor was
+/// heard); neighbor-neighbor links exist only when their viewed distance
+/// can be certified <= normal_range (max over version combinations).
+///
+/// Reads only the `.position` of each record — together with the member
+/// ids this makes the assembled view (and, by protocol purity, the
+/// selection) an exact function of (ids, position bits, normal_range,
+/// cost). That is why LocalViewStore::generation() tracks nothing else,
+/// and why the controller's recompute cache can key on it.
 // mstc:hot — runs once per selection refresh over ~density members
 void assemble(
     NodeId owner, std::span<const NodeId> ids,

@@ -1,26 +1,8 @@
 #include "core/controller.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <span>
 
 namespace mstc::core {
-
-namespace {
-
-// View-kind tags for build_cache_key. Mode is fixed per controller, but
-// tagging keeps versioned and unversioned keys from ever colliding.
-constexpr std::uint64_t kKeyLatest = 1;
-constexpr std::uint64_t kKeyWeak = 2;
-constexpr std::uint64_t kKeyVersioned = 3;
-
-void fold_position(const topology::VersionedPosition& record,
-                   std::vector<std::uint64_t>& key) {
-  key.push_back(std::bit_cast<std::uint64_t>(record.position.x));
-  key.push_back(std::bit_cast<std::uint64_t>(record.position.y));
-}
-
-}  // namespace
 
 NodeController::NodeController(NodeId id, const topology::Protocol& protocol,
                                const topology::CostModel& cost,
@@ -87,7 +69,7 @@ void NodeController::on_hello_receive(const HelloRecord& hello, double now) {
 }
 
 // mstc:hot — runs once per selection refresh; all view state lives in
-// member scratch (view_scratch_, cache_key_scratch_)
+// member scratch (view_scratch_, view_, chosen_)
 void NodeController::refresh_selection(double now) {
   const obs::ScopedTimer timer(
       probe_ != nullptr ? probe_->profiler() : nullptr,
@@ -95,30 +77,15 @@ void NodeController::refresh_selection(double now) {
   if (probe_ != nullptr) probe_->count_node(obs::Counter::kViewSyncs, id_);
   store_.expire(now);
   if (!store_.latest(id_)) return;  // nothing advertised yet
-  const bool weak = config_.mode == ConsistencyMode::kWeak;
-  const bool cached = cache_enabled();
-  if (cached) {
-    build_cache_key(weak ? kKeyWeak : kKeyLatest, 0, cache_key_scratch_);
-    if (cache_valid_ && cache_key_scratch_ == cache_key_) {
-      if (probe_ != nullptr) {
-        probe_->count_node(obs::Counter::kTopologyRecomputeSkips, id_);
-      }
-      note_cache_probe(true);
-      return;  // same inputs => same selection; keep it as-is
-    }
-    note_cache_probe(false);
-  }
-  if (weak) {
+  store_.track_version(std::nullopt);
+  if (cache_hit()) return;
+  if (config_.mode == ConsistencyMode::kWeak) {
     build_weak_view(store_, config_.normal_range, *cost_, view_scratch_, view_);
   } else {
     build_latest_view(store_, config_.normal_range, *cost_, view_scratch_,
                       view_);
   }
   apply_selection(view_, now);
-  if (cached) {
-    cache_key_.swap(cache_key_scratch_);
-    cache_valid_ = true;
-  }
 }
 
 // mstc:hot — the proactive/reactive counterpart of refresh_selection
@@ -133,92 +100,24 @@ void NodeController::refresh_selection_versioned(double now,
   // paper's "wait before migrating to the next local view") and must
   // leave the cache untouched: nothing was recomputed.
   if (store_.record_at(id_, version).empty()) return;
-  const bool cached = cache_enabled();
-  if (cached) {
-    build_cache_key(kKeyVersioned, version, cache_key_scratch_);
-    if (cache_valid_ && cache_key_scratch_ == cache_key_) {
-      if (probe_ != nullptr) {
-        probe_->count_node(obs::Counter::kTopologyRecomputeSkips, id_);
-      }
-      note_cache_probe(true);
-      return;
-    }
-    note_cache_probe(false);
-  }
+  store_.track_version(version);
+  if (cache_hit()) return;
   if (!build_versioned_view(store_, version, config_.normal_range, *cost_,
                             view_scratch_, view_)) {
     return;  // unreachable: the owner check above already passed
   }
   apply_selection(view_, now);
-  if (cached) {
-    cache_key_.swap(cache_key_scratch_);
-    cache_valid_ = true;
-  }
 }
 
-void NodeController::note_cache_probe(bool hit) noexcept {
-  if (hit) ++cache_skips_;
-  if (++cache_probes_ < kRecomputeCacheWarmup) return;
-  // Checked at every probe past the warmup floor (not only when the count
-  // hits it exactly — short runs would otherwise never decide): a skip
-  // rate below the configured floor means fingerprints almost never match
-  // (mobile positions fold into the key), so probing is pure overhead.
-  // One-shot in effect: bypassing stops the probing that feeds this.
-  const double skip_rate = static_cast<double>(cache_skips_) /
-                           static_cast<double>(cache_probes_);
-  cache_bypassed_ = config_.recompute_cache_min_skip_rate > 0.0 &&
-                    skip_rate < config_.recompute_cache_min_skip_rate;
-}
-
-void NodeController::build_cache_key(std::uint64_t tag, std::uint64_t version,
-                                     std::vector<std::uint64_t>& key) {
-  key.clear();
-  key.push_back(tag);
-  const auto fold_member = [&](NodeId member,
-                               std::span<const topology::VersionedPosition>
-                                   records) {
-    key.push_back(member);
-    key.push_back(records.size());
-    for (const auto& record : records) fold_position(record, key);
-  };
-  // One pass over the store: entries() is ascending by sender — the same
-  // order the old sorted-neighbors walk produced, so key bytes are
-  // unchanged.
-  const auto fold_neighbors =
-      [&](auto&& project) {
-        for (const core::LocalViewStore::Entry& entry : store_.entries()) {
-          if (entry.sender == id_ || entry.history.empty()) continue;
-          const auto records = project(entry);
-          if (!records.empty()) fold_member(entry.sender, records);
-        }
-      };
-  const auto full = [](const core::LocalViewStore::Entry& entry) {
-    return std::span<const topology::VersionedPosition>(entry.history.data(),
-                                                        entry.history.size());
-  };
-  switch (tag) {
-    case kKeyLatest:
-      fold_member(id_, store_.records(id_).first(1));
-      fold_neighbors([&](const core::LocalViewStore::Entry& entry) {
-        return full(entry).first(1);
-      });
-      return;
-    case kKeyWeak:
-      fold_member(id_, store_.records(id_));
-      fold_neighbors(full);
-      return;
-    case kKeyVersioned:
-      key.push_back(version);
-      fold_member(id_, store_.record_at(id_, version));
-      fold_neighbors([&](const core::LocalViewStore::Entry& entry)
-                         -> std::span<const topology::VersionedPosition> {
-        for (const auto& record : entry.history) {
-          if (record.version == version) return {&record, 1};
-        }
-        return {};
-      });
-      return;
+bool NodeController::cache_hit() const {
+  if (!config_.recompute_cache ||
+      selection_generation_ != store_.generation()) {
+    return false;
   }
+  if (probe_ != nullptr) {
+    probe_->count_node(obs::Counter::kTopologyRecomputeSkips, id_);
+  }
+  return true;  // same inputs => same selection; keep it as-is
 }
 
 void NodeController::apply_selection(const topology::ViewGraph& view,
@@ -250,6 +149,7 @@ void NodeController::apply_selection(const topology::ViewGraph& view,
         std::max(actual_range_, view.distance_max(0, index) * (1.0 + 1e-9));
   }
   std::sort(logical_.begin(), logical_.end());
+  selection_generation_ = store_.generation();
 
   if (observing) {
     probe_->count_node(obs::Counter::kTopologyRecomputes, id_);

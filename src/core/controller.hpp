@@ -31,34 +31,14 @@ struct ControllerConfig {
   /// Accept data packets from non-logical physical neighbors (the paper's
   /// "physical neighbor" enhancement). Queried by the runner.
   bool accept_physical_neighbors = false;
-  /// Skip the protocol run when the selection's exact inputs (member ids
-  /// and position bits, post-expiry) match the previous refresh. Sound
-  /// because view assembly reads only those inputs and protocols are pure;
-  /// skips are counted as topology_recompute_skips. Disable to measure the
-  /// uncached path (MSTC_NO_RECOMPUTE_CACHE=1 at the scenario level).
+  /// Skip the protocol run when the store reports no change since the
+  /// last selection (LocalViewStore::generation(): member ids and position
+  /// bits, post-expiry). Sound because view assembly reads only those
+  /// inputs and protocols are pure; skips are counted as
+  /// topology_recompute_skips. Disable to measure the uncached path
+  /// (MSTC_NO_RECOMPUTE_CACHE=1 at the scenario level).
   bool recompute_cache = true;
-  /// Cache self-bypass for workloads fingerprinting cannot help (mobile
-  /// fleets change some position bits on almost every refresh): once a
-  /// node has seen kRecomputeCacheWarmup cache probes, every further probe
-  /// re-checks the cumulative skip rate, and the first time it sits below
-  /// this threshold the controller stops building and comparing
-  /// fingerprints for the rest of the run, saving the key-build cost on
-  /// guaranteed misses. The decision is one-shot (a bypassed cache stops
-  /// probing, so the rate can never recover) but no longer tied to hitting
-  /// the warmup count exactly — short runs whose refresh count lands past
-  /// the window still disengage. 0 disables the bypass (the cache always
-  /// probes). Never changes selections — only whether the shortcut is
-  /// attempted.
-  double recompute_cache_min_skip_rate = 0.0;
 };
-
-/// Minimum cache probes observed before any recompute-cache bypass
-/// decision. Hello-paced workloads probe roughly once per simulated
-/// second per node, so bench-scale runs (~18 s) only accumulate ~18
-/// probes — the floor must sit well inside that budget for the bypass to
-/// cover most of the measured window, while still averaging over enough
-/// probes that one early skip cannot flip the decision.
-inline constexpr std::uint32_t kRecomputeCacheWarmup = 8;
 
 class NodeController {
  public:
@@ -147,12 +127,9 @@ class NodeController {
  private:
   void apply_selection(const topology::ViewGraph& view, double now);
 
-  /// Fingerprints the selection's exact inputs: a tag for the view kind,
-  /// the pinned version (versioned views), and per member the id and raw
-  /// position bits of every record the assembly would read. Equal keys
-  /// imply bit-identical views and therefore identical selections.
-  void build_cache_key(std::uint64_t tag, std::uint64_t version,
-                       std::vector<std::uint64_t>& key);
+  /// Recompute-cache probe: true, and counts the skip, when the store is
+  /// unchanged since the current selection was computed.
+  [[nodiscard]] bool cache_hit() const;
 
   NodeId id_;
   // Pointers (never null) rather than references so rebind() can retarget
@@ -172,22 +149,9 @@ class NodeController {
   ViewScratch view_scratch_;
   topology::ViewGraph view_;
   std::vector<std::size_t> chosen_;
-  // Recompute cache: fingerprint of the last applied selection's inputs
-  // (see build_cache_key). The scratch key is built first and swapped in
-  // only after a recompute actually runs.
-  std::vector<std::uint64_t> cache_key_;
-  std::vector<std::uint64_t> cache_key_scratch_;
-  bool cache_valid_ = false;
-  // Bypass bookkeeping (see ControllerConfig::recompute_cache_min_skip_rate):
-  // probes/skips observed during warmup, and the one-shot decision.
-  std::uint32_t cache_probes_ = 0;
-  std::uint32_t cache_skips_ = 0;
-  bool cache_bypassed_ = false;
-
-  [[nodiscard]] bool cache_enabled() const noexcept {
-    return config_.recompute_cache && !cache_bypassed_;
-  }
-  void note_cache_probe(bool hit) noexcept;
+  // Recompute cache: the store generation the current selection was
+  // computed at. No store generation reaches the initial value.
+  std::uint64_t selection_generation_ = ~std::uint64_t{0};
 };
 
 }  // namespace mstc::core

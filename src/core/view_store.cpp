@@ -1,6 +1,7 @@
 #include "core/view_store.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <limits>
 
@@ -10,6 +11,15 @@ namespace {
 
 bool sender_less(const LocalViewStore::Entry& entry, NodeId sender) {
   return entry.sender < sender;
+}
+
+// Raw bits, not ==: views are compared bit for bit, and -0.0 == 0.0.
+bool same_bits(const topology::VersionedPosition& a,
+               const topology::VersionedPosition& b) {
+  return std::bit_cast<std::uint64_t>(a.position.x) ==
+             std::bit_cast<std::uint64_t>(b.position.x) &&
+         std::bit_cast<std::uint64_t>(a.position.y) ==
+             std::bit_cast<std::uint64_t>(b.position.y);
 }
 
 }  // namespace
@@ -46,16 +56,40 @@ void LocalViewStore::record(const HelloRecord& hello) {
       [&](const topology::VersionedPosition& existing) {
         return existing.version <= hello.advertised.version;
       });
+  bool changed = false;
   if (insert_at != history.end() &&
       insert_at->version == hello.advertised.version) {
-    *insert_at = hello.advertised;  // duplicate delivery: refresh in place
+    // Duplicate delivery: refresh in place.
+    changed = tracks(*insert_at) && !same_bits(*insert_at, hello.advertised);
+    *insert_at = hello.advertised;
   } else {
-    history.insert(insert_at, hello.advertised);
+    const auto at = history.insert(insert_at, hello.advertised);
+    changed = insertion_changes(
+        history, static_cast<std::size_t>(at - history.begin()));
+    if (history.size() > history_limit_) history.resize(history_limit_);
   }
-  if (history.size() > history_limit_) history.resize(history_limit_);
+  if (changed) ++generation_;
   if (hello.sender != owner_) {
     oldest_front_ = std::min(oldest_front_, history.front().send_time);
   }
+}
+
+bool LocalViewStore::insertion_changes(
+    std::span<const topology::VersionedPosition> history,
+    std::size_t at) const noexcept {
+  // A full window holds one record too many here: the last, about to go.
+  const bool overflow = history.size() > history_limit_;
+  if (overflow && at + 1 == history.size()) return false;  // dropped at once
+  if (tracked_version_) {
+    return tracks(history[at]) || (overflow && tracks(history.back()));
+  }
+  if (!overflow) return true;  // the sequence grew
+  // The full window shifts down from `at`: it reads the same only if every
+  // shifted slot lands on equal bits.
+  for (std::size_t i = at; i + 1 < history.size(); ++i) {
+    if (!same_bits(history[i], history[i + 1])) return true;
+  }
+  return false;
 }
 
 // mstc:hot — runs on every reception and every selection refresh
@@ -67,16 +101,30 @@ void LocalViewStore::expire(double now) {
   // refresh, and in steady state nothing is stale.
   if (cutoff <= oldest_front_) return;
   double oldest = std::numeric_limits<double>::infinity();
+  bool changed = false;
   std::erase_if(entries_, [&](const Entry& entry) {
     const bool stale =
         entry.sender != owner_ &&
         (entry.history.empty() || entry.history.front().send_time < cutoff);
-    if (!stale && entry.sender != owner_) {
+    if (stale) {
+      changed = changed || std::ranges::any_of(entry.history,
+                                               [&](const auto& record) {
+                                                 return tracks(record);
+                                               });
+    } else if (entry.sender != owner_) {
       oldest = std::min(oldest, entry.history.front().send_time);
     }
     return stale;
   });
+  if (changed) ++generation_;
   oldest_front_ = oldest;
+}
+
+void LocalViewStore::track_version(
+    std::optional<std::uint64_t> version) noexcept {
+  if (version == tracked_version_) return;
+  tracked_version_ = version;
+  ++generation_;
 }
 
 std::vector<topology::VersionedPosition> LocalViewStore::history(

@@ -13,6 +13,7 @@
 // instead of iterating a hash map, sorting, and re-finding each sender.
 #pragma once
 
+#include <cstdint>
 #include <limits>
 #include <optional>
 #include <span>
@@ -90,12 +91,48 @@ class LocalViewStore {
     return entries_.size() - (find(owner_) != nullptr ? 1 : 0);
   }
 
+  /// Change counter over the records a view assembly reads. Two reads
+  /// that return the same generation bracket a store whose tracked records
+  /// hold bit-identical positions, so the view assembled from it is
+  /// bit-identical too. What is tracked (see track_version()):
+  ///   - untracked version (latest and weak views): every sender's
+  ///     newest-first position sequence. A sender joining or expiring
+  ///     bumps it, and so does a record whose position bits differ from the
+  ///     one it replaces. A sender re-advertising the same bits under a new
+  ///     version does not.
+  ///   - tracked version v (versioned views): the record at v of every
+  ///     sender. Only inserting, changing, evicting or expiring a record at
+  ///     v bumps it.
+  /// A bump may be spurious (a change later undone still counts), never
+  /// missing.
+  [[nodiscard]] std::uint64_t generation() const noexcept {
+    return generation_;
+  }
+
+  /// Selects what generation() tracks: the records at `version`, or with
+  /// nullopt the full position sequences. A different selection bumps the
+  /// generation, so a reader never confuses the two.
+  void track_version(std::optional<std::uint64_t> version) noexcept;
+
  private:
   [[nodiscard]] const Entry* find(NodeId sender) const noexcept;
+  /// Whether generation() follows `record`: every record while no version
+  /// is tracked.
+  [[nodiscard]] bool tracks(
+      const topology::VersionedPosition& record) const noexcept {
+    return !tracked_version_ || record.version == *tracked_version_;
+  }
+  /// Whether the record just inserted at `at` changes what generation()
+  /// tracks once the window is cut back to history_limit records.
+  [[nodiscard]] bool insertion_changes(
+      std::span<const topology::VersionedPosition> history,
+      std::size_t at) const noexcept;
 
   NodeId owner_;
   std::size_t history_limit_;
   double expiry_;
+  std::uint64_t generation_ = 0;
+  std::optional<std::uint64_t> tracked_version_;
   // Sorted ascending by sender; histories newest-first and non-empty.
   std::vector<Entry> entries_;
   // Lower bound on the oldest non-owner front send_time: expire() returns

@@ -21,8 +21,6 @@ ScenarioConfig apply_env_overrides(ScenarioConfig base) {
   base.warmup = util::env_or("MSTC_WARMUP", base.warmup);
   if (util::env_flag("MSTC_MEDIUM_BRUTE")) base.medium_brute_force = true;
   if (util::env_flag("MSTC_NO_RECOMPUTE_CACHE")) base.recompute_cache = false;
-  base.recompute_cache_min_skip_rate = util::env_or(
-      "MSTC_RECOMPUTE_MIN_SKIP_RATE", base.recompute_cache_min_skip_rate);
   if (util::env_flag("MSTC_SNAPSHOT_BRUTE")) base.snapshot_brute_force = true;
   if (util::env_flag("MSTC_NO_TRACE_CACHE")) base.trace_cache = false;
   if (util::env_flag("MSTC_NO_BATCH_DELIVERY")) base.batch_delivery = false;

@@ -51,20 +51,12 @@ struct ScenarioConfig {
   /// when the index is enabled — the index only breaks even above ~150
   /// nodes (see docs/PERFORMANCE.md). 0 forces the index for any fleet.
   std::size_t medium_grid_min_nodes = 150;
-  /// Skip Protocol::select when a node's assembled view is bit-identical
-  /// to its previous refresh (the protocol is a pure function of the view,
+  /// Skip Protocol::select when a node's view store is unchanged since
+  /// its previous selection (the protocol is a pure function of the view,
   /// so the selection is provably unchanged; the determinism suite
   /// byte-compares cache-on vs cache-off sweeps). Kept as an escape hatch
   /// mirroring medium_brute_force. Env: MSTC_NO_RECOMPUTE_CACHE=1.
   bool recompute_cache = true;
-  /// Recompute-cache self-bypass threshold (see
-  /// core::ControllerConfig::recompute_cache_min_skip_rate): when the
-  /// observed skip rate after the warmup window stays below this floor the
-  /// cache stops probing for the rest of the run. The default engages on
-  /// mobile fleets (waypoint skip rates are ~1%, below 2%) and leaves
-  /// static fleets (~90% skips) fully cached. 0 disables the bypass;
-  /// byte-identical either way. Env: MSTC_RECOMPUTE_MIN_SKIP_RATE.
-  double recompute_cache_min_skip_rate = 0.02;
   /// Measure snapshots with the brute-force O(n^2) pair scan instead of
   /// the grid-backed fast path. Byte-identical either way (differential
   /// suite tests/metrics/snapshot_grid_test.cpp); kept for A/B

@@ -193,8 +193,6 @@ class Scenario {
     }
     controller_config.accept_physical_neighbors = cfg.physical_neighbors;
     controller_config.recompute_cache = cfg.recompute_cache;
-    controller_config.recompute_cache_min_skip_rate =
-        cfg.recompute_cache_min_skip_rate;
 
     nodes_.reserve(cfg.node_count);
     for (NodeId u = 0; u < cfg.node_count; ++u) {

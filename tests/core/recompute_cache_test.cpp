@@ -1,13 +1,20 @@
-// Recompute-cache fingerprint suite.
+// Recompute-cache suite.
 //
-// The controller skips the protocol run when the selection's exact inputs
-// — member ids and raw position bits, post-expiry — match the previous
-// refresh. These tests pin the invalidation contract: every event that can
-// change the assembled view (a Hello advertising a moved position, a
-// neighbor expiring, the history window rotating, the owner moving) must
-// force a recompute, while a byte-identical store must skip. Counted via
-// the topology_recomputes / topology_recompute_skips probe counters.
+// The controller skips the protocol run when its view store's generation
+// is unchanged since the last selection: no member joined or expired and
+// no position bits the view reads changed. These tests pin the
+// invalidation contract: every event that can change the assembled view (a
+// Hello advertising a moved position, a neighbor expiring, the history
+// window rotating, the owner moving, the pinned version's records coming or
+// going) must force a recompute, while a byte-identical store must skip.
+// Counted via the topology_recomputes / topology_recompute_skips probe
+// counters.
 #include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdint>
+#include <random>
+#include <vector>
 
 #include "core/controller.hpp"
 #include "obs/probe.hpp"
@@ -57,7 +64,7 @@ TEST_F(RecomputeCacheTest, UnchangedStoreSkipsAndPreservesSelection) {
 }
 
 TEST_F(RecomputeCacheTest, NewVersionWithSamePositionBitsStillSkips) {
-  // The fingerprint covers position bits, not versions: a static neighbor
+  // The generation follows position bits, not versions: a static neighbor
   // re-advertising the same coordinates must not bust the cache (this is
   // what makes static fleets skip ~100% of refreshes).
   NodeController node(0, rng_, cost_, ControllerConfig{});
@@ -94,7 +101,7 @@ TEST_F(RecomputeCacheTest, NeighborExpiryForcesRecompute) {
   ASSERT_EQ(node.logical_neighbors(), (std::vector<NodeId>{1}));
   ASSERT_EQ(recomputes(), 1u);
 
-  // The neighbor ages out; the key (member set) changes, so the refresh
+  // The neighbor ages out; the member set changes, so the refresh
   // must recompute and drop it — a skip here would publish a stale link.
   node.refresh_selection(5.0);
   EXPECT_EQ(recomputes(), 2u);
@@ -162,7 +169,7 @@ TEST_F(RecomputeCacheTest, VersionedRefreshSkipsOnIdenticalPinnedInputs) {
   ASSERT_EQ(recomputes(), 1u);
 
   // Same pinned version, unchanged store: skip. A missing version stays a
-  // no-op and must not touch the counters or the cached key.
+  // no-op and must not touch the counters or the cached selection.
   node.refresh_selection_versioned(1.3, 0);
   EXPECT_EQ(recomputes(), 1u);
   EXPECT_EQ(skips(), 1u);
@@ -174,54 +181,213 @@ TEST_F(RecomputeCacheTest, VersionedRefreshSkipsOnIdenticalPinnedInputs) {
   EXPECT_EQ(node.logical_neighbors(), (std::vector<NodeId>{1}));
 }
 
-TEST_F(RecomputeCacheTest, LowSkipRateBypassesCacheAfterWarmup) {
-  // Mobile-fleet shape: every refresh misses (the neighbor moves), so once
-  // the warmup floor is reached the bypass must disengage the cache — a
-  // subsequent byte-identical refresh recomputes instead of probing. The
-  // decision is taken at every probe past the floor, not only when the
-  // count hits it exactly, so short runs that overshoot still decide.
-  ControllerConfig config;
-  config.recompute_cache_min_skip_rate = 0.5;
-  NodeController node(0, rng_, cost_, config);
+TEST_F(RecomputeCacheTest, MovingNeighborNeverDisengagesTheCache) {
+  // Mobile-fleet shape: every refresh misses because the neighbor moves.
+  // The probe costs O(1), so there is no bypass: a later byte-identical
+  // refresh still skips, however many misses came before.
+  NodeController node(0, rng_, cost_, ControllerConfig{});
   node.attach_probe(&probe_);
   double t = 0.1;
   std::uint64_t version = 1;
   node.on_hello_receive(hello(1, {5.0, 0.0}, version, t), t);
   node.on_hello_send(t + 0.05, {0.0, 0.0}, version);
-  for (std::uint32_t i = 0; i < kRecomputeCacheWarmup + 5; ++i) {
+  for (int i = 0; i < 20; ++i) {
     t += 1.0;
     ++version;
-    node.on_hello_receive(
-        hello(1, {5.0 + 0.001 * (i + 1), 0.0}, version, t), t);
+    node.on_hello_receive(hello(1, {5.0 + 0.001 * (i + 1), 0.0}, version, t),
+                          t);
     node.refresh_selection(t + 0.05);
   }
   ASSERT_EQ(skips(), 0u);
   const std::uint64_t before = recomputes();
-  // Nothing changed in the store: a probing cache would skip both of
-  // these; a bypassed cache recomputes.
   node.refresh_selection(t + 0.1);
   node.refresh_selection(t + 0.2);
-  EXPECT_EQ(skips(), 0u);
-  EXPECT_EQ(recomputes(), before + 2);
+  EXPECT_EQ(skips(), 2u);
+  EXPECT_EQ(recomputes(), before);
 }
 
-TEST_F(RecomputeCacheTest, HighSkipRateKeepsCacheEngagedPastWarmup) {
-  // Static-fleet shape: everything after the first refresh skips, so the
-  // cumulative skip rate stays far above any sane floor and the cache
-  // keeps probing (and skipping) long past the warmup window.
-  ControllerConfig config;
-  config.recompute_cache_min_skip_rate = 0.02;
-  NodeController node(0, rng_, cost_, config);
+TEST_F(RecomputeCacheTest, StaticNeighborhoodSkipsEveryRefreshAfterTheFirst) {
+  NodeController node(0, rng_, cost_, ControllerConfig{});
   node.attach_probe(&probe_);
   node.on_hello_receive(hello(1, {5.0, 0.0}, 1, 0.1), 0.1);
   node.on_hello_send(0.2, {0.0, 0.0}, 1);
   ASSERT_EQ(recomputes(), 1u);
-  const std::uint32_t refreshes = kRecomputeCacheWarmup + 10;
+  const std::uint32_t refreshes = 20;
   for (std::uint32_t i = 0; i < refreshes; ++i) {
     node.refresh_selection(0.3 + 0.01 * i);
   }
   EXPECT_EQ(recomputes(), 1u);
   EXPECT_EQ(skips(), refreshes);
+}
+
+TEST_F(RecomputeCacheTest, EvictedPinnedVersionForcesRecompute) {
+  // A static neighbor re-advertises the same bits, so the position
+  // sequence never changes; yet once its record at the pinned version
+  // leaves the window, the versioned view loses it. The cache must miss.
+  ControllerConfig config;
+  config.mode = ConsistencyMode::kProactive;
+  config.history_limit = 2;
+  NodeController node(0, rng_, cost_, config);
+  node.attach_probe(&probe_);
+  node.on_hello_receive(hello(1, {5.0, 0.0}, 0, 0.1), 0.1);
+  node.on_hello_send(0.2, {0.0, 0.0}, 0);
+  node.on_hello_send(1.2, {0.0, 0.0}, 1);  // decides pinned to version 0
+  ASSERT_EQ(recomputes(), 1u);
+  ASSERT_EQ(node.logical_neighbors(), (std::vector<NodeId>{1}));
+
+  node.on_hello_receive(hello(1, {5.0, 0.0}, 1, 1.1), 1.3);
+  node.on_hello_receive(hello(1, {5.0, 0.0}, 2, 2.1), 2.1);  // evicts v0
+  node.refresh_selection_versioned(2.2, 0);
+  EXPECT_EQ(recomputes(), 2u);
+  EXPECT_EQ(skips(), 0u);
+  EXPECT_TRUE(node.logical_neighbors().empty());
+}
+
+TEST_F(RecomputeCacheTest, LateRecordAtPinnedVersionForcesRecompute) {
+  ControllerConfig config;
+  config.mode = ConsistencyMode::kProactive;
+  config.history_limit = 3;
+  NodeController node(0, rng_, cost_, config);
+  node.attach_probe(&probe_);
+  node.on_hello_send(0.2, {0.0, 0.0}, 0);
+  node.on_hello_send(1.2, {0.0, 0.0}, 1);  // version 0: no neighbor yet
+  ASSERT_EQ(recomputes(), 1u);
+  ASSERT_TRUE(node.logical_neighbors().empty());
+
+  // The neighbor's version-0 Hello arrives after the decision.
+  node.on_hello_receive(hello(1, {5.0, 0.0}, 0, 0.3), 1.3);
+  node.refresh_selection_versioned(1.4, 0);
+  EXPECT_EQ(recomputes(), 2u);
+  EXPECT_EQ(node.logical_neighbors(), (std::vector<NodeId>{1}));
+}
+
+TEST_F(RecomputeCacheTest, VersionedRefreshIgnoresRecordsAtOtherVersions) {
+  // A neighbor that moves and re-advertises under a newer version leaves
+  // the view pinned to the old version untouched: the cache still skips.
+  ControllerConfig config;
+  config.mode = ConsistencyMode::kProactive;
+  config.history_limit = 3;
+  NodeController node(0, rng_, cost_, config);
+  node.attach_probe(&probe_);
+  node.on_hello_receive(hello(1, {5.0, 0.0}, 0, 0.1), 0.1);
+  node.on_hello_send(0.2, {0.0, 0.0}, 0);
+  node.on_hello_send(1.2, {0.0, 0.0}, 1);  // decides pinned to version 0
+  ASSERT_EQ(recomputes(), 1u);
+
+  node.on_hello_receive(hello(1, {9.0, 0.0}, 1, 1.1), 1.3);
+  node.on_hello_receive(hello(2, {3.0, 0.0}, 1, 1.1), 1.3);  // joins at v1
+  node.refresh_selection_versioned(1.4, 0);
+  EXPECT_EQ(recomputes(), 1u);
+  EXPECT_EQ(skips(), 1u);
+  EXPECT_NEAR(node.actual_range(), 5.0, 1e-6);
+}
+
+TEST_F(RecomputeCacheTest, SwitchingViewKindForcesRecompute) {
+  // The latest view and a versioned view of the same store differ, so a
+  // refresh of the other kind must never be served from the cache.
+  ControllerConfig config;
+  config.mode = ConsistencyMode::kProactive;
+  config.history_limit = 3;
+  NodeController node(0, rng_, cost_, config);
+  node.attach_probe(&probe_);
+  node.on_hello_receive(hello(1, {5.0, 0.0}, 0, 0.1), 0.1);
+  node.on_hello_send(0.2, {0.0, 0.0}, 0);
+  node.on_hello_send(1.2, {0.0, 0.0}, 1);  // pinned to version 0
+  node.on_hello_receive(hello(1, {7.0, 0.0}, 1, 1.3), 1.3);
+  ASSERT_EQ(recomputes(), 1u);
+
+  node.refresh_selection(1.4);  // latest view: the neighbor sits at 7
+  EXPECT_EQ(recomputes(), 2u);
+  EXPECT_NEAR(node.actual_range(), 7.0, 1e-6);
+  node.refresh_selection_versioned(1.5, 0);  // back to 5
+  EXPECT_EQ(recomputes(), 3u);
+  EXPECT_NEAR(node.actual_range(), 5.0, 1e-6);
+  EXPECT_EQ(skips(), 0u);
+}
+
+// Fuzzes one cached and one uncached controller with the same Hello stream
+// and refreshes. Versions follow a shared round counter, as Hello versions
+// do in a run, and positions come from a three-point alphabet, so repeated
+// bits, history rotations, late and duplicate versions, evictions of the
+// pinned version, expiry and re-joining all occur. Every refresh must
+// publish identical selections.
+void expect_cached_matches_uncached(ConsistencyMode mode,
+                                    std::size_t history_limit,
+                                    std::uint32_t seed) {
+  const topology::DistanceCost cost;
+  const topology::RngProtocol protocol;
+  ControllerConfig config;
+  config.mode = mode;
+  config.history_limit = history_limit;
+  config.view_expiry = 2.5;
+  NodeController cached(0, protocol, cost, config);
+  config.recompute_cache = false;
+  NodeController uncached(0, protocol, cost, config);
+  obs::RunObservation observation;
+  const obs::Probe probe(&observation);
+  cached.attach_probe(&probe);
+
+  std::mt19937 rng(seed);
+  const geom::Vec2 spots[] = {{0.0, 0.0}, {60.0, 10.0}, {-40.0, 80.0}};
+  const auto pick = [&](std::uint32_t n) { return rng() % n; };
+  // A version up to `lag` rounds behind the owner's and `lead` ahead
+  // (neighbors' Hello clocks drift).
+  std::uint64_t round = 0;
+  const auto version_near = [&](std::uint32_t lag, std::uint32_t lead) {
+    return round + lead - std::min<std::uint64_t>(round + lead,
+                                                  pick(lag + lead + 1));
+  };
+  double now = 0.0;
+  for (int step = 0; step < 3000; ++step) {
+    now += 0.05 * static_cast<double>(pick(10));
+    const geom::Vec2 spot = spots[pick(3)];
+    switch (pick(6)) {
+      case 0:
+        ++round;
+        cached.on_hello_send(now, spot, round);
+        uncached.on_hello_send(now, spot, round);
+        break;
+      case 1:
+      case 2:
+      case 3: {
+        const HelloRecord record{static_cast<NodeId>(1 + pick(3)),
+                                 {spot, version_near(1, 1), now}};
+        cached.on_hello_receive(record, now);
+        uncached.on_hello_receive(record, now);
+        break;
+      }
+      case 4:
+        cached.refresh_selection(now);
+        uncached.refresh_selection(now);
+        break;
+      default: {
+        const std::uint64_t version = version_near(3, 0);
+        cached.refresh_selection_versioned(now, version);
+        uncached.refresh_selection_versioned(now, version);
+        break;
+      }
+    }
+    ASSERT_EQ(cached.logical_neighbors(), uncached.logical_neighbors())
+        << "step " << step;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(cached.actual_range()),
+              std::bit_cast<std::uint64_t>(uncached.actual_range()))
+        << "step " << step;
+  }
+  // The stream must exercise the cache, not only its misses.
+  EXPECT_GT(observation.counters.total(obs::Counter::kTopologyRecomputeSkips),
+            0u);
+}
+
+TEST(RecomputeCacheFuzz, CachedControllerMatchesUncached) {
+  for (std::uint32_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE(seed);
+    expect_cached_matches_uncached(ConsistencyMode::kLatest, 1, seed);
+    expect_cached_matches_uncached(ConsistencyMode::kLatest, 2, seed);
+    expect_cached_matches_uncached(ConsistencyMode::kWeak, 2, seed);
+    expect_cached_matches_uncached(ConsistencyMode::kWeak, 3, seed);
+    expect_cached_matches_uncached(ConsistencyMode::kProactive, 2, seed);
+    expect_cached_matches_uncached(ConsistencyMode::kProactive, 3, seed);
+  }
 }
 
 }  // namespace

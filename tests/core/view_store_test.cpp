@@ -91,5 +91,62 @@ TEST(LocalViewStore, UnknownSenderYieldsEmpty) {
   EXPECT_FALSE(store.latest(5).has_value());
 }
 
+TEST(LocalViewStore, GenerationFollowsMembersAndPositionBits) {
+  LocalViewStore store(0, 1, 3.0);
+  const std::uint64_t empty = store.generation();
+  store.record(hello(0, 0.0, 0.0, 1, 0.5));
+  store.record(hello(1, 0.0, 5.0, 1, 1.0));
+  const std::uint64_t joined = store.generation();
+  EXPECT_EQ(joined, empty + 2) << "each join is a change";
+
+  store.record(hello(1, 0.0, 5.0, 2, 2.0));  // same bits, new version
+  store.record(hello(1, 0.0, 5.0, 2, 2.1));  // duplicate delivery
+  store.expire(2.5);                         // nothing stale
+  EXPECT_EQ(store.generation(), joined);
+
+  store.record(hello(1, -0.0, 5.0, 3, 3.0));  // == 0.0, but other bits
+  EXPECT_EQ(store.generation(), joined + 1);
+  store.record(hello(1, -0.0, 5.0, 3, 3.1));  // duplicate, same bits
+  store.record(hello(1, 1.0, 5.0, 3, 3.2));   // duplicate, moved
+  EXPECT_EQ(store.generation(), joined + 2);
+  store.expire(7.0);  // neighbor 1 expires
+  EXPECT_EQ(store.generation(), joined + 3);
+}
+
+TEST(LocalViewStore, GenerationFollowsTheWholeHistoryWindow) {
+  LocalViewStore store(0, 2, 100.0);
+  store.record(hello(1, 5.0, 0.0, 1, 1.0));
+  const std::uint64_t joined = store.generation();
+  store.record(hello(1, 5.0, 0.0, 2, 2.0));  // window grows: a change
+  EXPECT_EQ(store.generation(), joined + 1);
+  store.record(hello(1, 5.0, 0.0, 3, 3.0));  // full, rotates onto equal bits
+  EXPECT_EQ(store.generation(), joined + 1);
+  store.record(hello(1, 6.0, 0.0, 4, 4.0));  // {6, 5}
+  store.record(hello(1, 6.0, 0.0, 5, 5.0));  // {6, 6}: the 5 left
+  EXPECT_EQ(store.generation(), joined + 3);
+  store.record(hello(1, 7.0, 0.0, 1, 5.1));  // older than the window
+  EXPECT_EQ(store.generation(), joined + 3);
+}
+
+TEST(LocalViewStore, TrackedVersionGenerationIgnoresOtherVersions) {
+  LocalViewStore store(0, 2, 100.0);
+  store.record(hello(1, 5.0, 0.0, 1, 1.0));
+  store.track_version(1);
+  const std::uint64_t tracked = store.generation();
+  store.track_version(1);
+  EXPECT_EQ(store.generation(), tracked);
+
+  store.record(hello(1, 9.0, 0.0, 2, 2.0));  // moved, but at version 2
+  store.record(hello(2, 3.0, 0.0, 2, 2.0));  // joined without version 1
+  EXPECT_EQ(store.generation(), tracked);
+  store.record(hello(2, 3.0, 0.0, 1, 2.1));  // late record at version 1
+  EXPECT_EQ(store.generation(), tracked + 1);
+  store.record(hello(1, 9.0, 0.0, 3, 3.0));  // evicts sender 1's version 1
+  EXPECT_EQ(store.generation(), tracked + 2);
+
+  store.track_version(std::nullopt);
+  EXPECT_EQ(store.generation(), tracked + 3);
+}
+
 }  // namespace
 }  // namespace mstc::core

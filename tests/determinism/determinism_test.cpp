@@ -218,13 +218,32 @@ TEST(Determinism, GridIndexedMediumMatchesBruteForceByteForByte) {
 }
 
 TEST(Determinism, RecomputeCacheOnMatchesOff) {
-  // The recompute cache (PR 4) skips the protocol run when the assembled
-  // view's fingerprint — member ids and raw position bits, post-expiry —
-  // matches the previous refresh. Equal fingerprints imply a bit-identical
-  // view, so cached runs must byte-compare against cache-off runs: any
-  // divergence means the key misses an input the selection depends on.
-  // Serial and pooled, per the suite's standing contract.
-  const auto cached = representative_configs();
+  // The recompute cache skips the protocol run while a node's view store
+  // generation is unchanged: no member joined or expired and no position
+  // bits the view reads changed since the last selection. An unchanged
+  // generation implies a bit-identical view, so cached runs must
+  // byte-compare against cache-off runs: any divergence means the store
+  // missed a change the selection depends on. The waypoint fleets at 30 m/s
+  // barely skip, so static and slow fleets in every refresh path (latest,
+  // weak, ViewSync, proactive and reactive) join them. Serial and pooled,
+  // per the suite's standing contract.
+  auto cached = representative_configs();
+  ScenarioConfig still = cached.front();
+  still.mobility_model = "static";
+  for (const core::ConsistencyMode mode :
+       {core::ConsistencyMode::kLatest, core::ConsistencyMode::kWeak,
+        core::ConsistencyMode::kViewSync, core::ConsistencyMode::kProactive,
+        core::ConsistencyMode::kReactive}) {
+    still.mode = mode;
+    cached.push_back(still);
+  }
+  ScenarioConfig slow = cached.front();
+  slow.average_speed = 1.0;
+  slow.hello_loss = 0.3;  // expiries and re-joins
+  slow.mode = core::ConsistencyMode::kProactive;
+  cached.push_back(slow);
+  slow.mode = core::ConsistencyMode::kWeak;
+  cached.push_back(slow);
   auto uncached = cached;
   for (auto& config : uncached) config.recompute_cache = false;
 
@@ -234,12 +253,30 @@ TEST(Determinism, RecomputeCacheOnMatchesOff) {
       << "recompute cache changed serial simulation results";
 
   util::ThreadPool pool(3);
-  const auto pooled_on = bit_snapshot(run_batch_raw(cached, kRepeats, pool));
+  std::vector<obs::RunObservation> observations;
+  SweepHooks hooks;
+  hooks.observations = &observations;
+  const auto pooled_on =
+      bit_snapshot(run_batch_raw(cached, kRepeats, pool, hooks));
   const auto pooled_off =
       bit_snapshot(run_batch_raw(uncached, kRepeats, pool));
   ASSERT_EQ(pooled_on, serial_on);
   ASSERT_EQ(pooled_off, serial_on)
       << "recompute cache changed pooled simulation results";
+
+  // The comparison means something only where the cache served refreshes.
+  ASSERT_EQ(observations.size(), cached.size() * kRepeats);
+  for (std::size_t i = 0; i < cached.size(); ++i) {
+    const auto& config = cached[i];
+    if (config.mobility_model != "static" ||
+        config.mode == core::ConsistencyMode::kReactive) {
+      continue;  // reactive pins a new version every round: never repeats
+    }
+    EXPECT_GT(observations[i * kRepeats].counters.total(
+                  obs::Counter::kTopologyRecomputeSkips),
+              0u)
+        << "static " << core::to_string(config.mode) << " never skipped";
+  }
 }
 
 TEST(Determinism, SnapshotGridMatchesBruteForceByteForByte) {
