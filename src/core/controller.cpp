@@ -4,6 +4,26 @@
 
 namespace mstc::core {
 
+namespace {
+
+/// Everything a selection refresh assembles: the builders' scratch, the
+/// view and the protocol's output. One per thread, shared by every
+/// controller that thread refreshes, so a replication keeps one hot view
+/// instead of one cold n^2 view per node. Sharing is sound because no
+/// state survives a refresh: ViewGraph::reset clears every link flag and
+/// every non-owner read is guarded by has_link, the builders clear their
+/// ids, select clears its output, and a refresh never re-enters another
+/// refresh or the thread pool.
+struct SelectionScratch {
+  ViewScratch builders;
+  topology::ViewGraph view;
+  std::vector<std::size_t> chosen;
+};
+
+thread_local SelectionScratch t_selection;
+
+}  // namespace
+
 NodeController::NodeController(NodeId id, const topology::Protocol& protocol,
                                const topology::CostModel& cost,
                                ControllerConfig config)
@@ -69,7 +89,7 @@ void NodeController::on_hello_receive(const HelloRecord& hello, double now) {
 }
 
 // mstc:hot — runs once per selection refresh; all view state lives in
-// member scratch (view_scratch_, view_, chosen_)
+// the per-thread selection scratch
 void NodeController::refresh_selection(double now) {
   const obs::ScopedTimer timer(
       probe_ != nullptr ? probe_->profiler() : nullptr,
@@ -80,12 +100,13 @@ void NodeController::refresh_selection(double now) {
   store_.track_version(std::nullopt);
   if (cache_hit()) return;
   if (config_.mode == ConsistencyMode::kWeak) {
-    build_weak_view(store_, config_.normal_range, *cost_, view_scratch_, view_);
+    build_weak_view(store_, config_.normal_range, *cost_, t_selection.builders,
+                    t_selection.view);
   } else {
-    build_latest_view(store_, config_.normal_range, *cost_, view_scratch_,
-                      view_);
+    build_latest_view(store_, config_.normal_range, *cost_,
+                      t_selection.builders, t_selection.view);
   }
-  apply_selection(view_, now);
+  apply_selection(t_selection.view, now);
 }
 
 // mstc:hot — the proactive/reactive counterpart of refresh_selection
@@ -103,10 +124,10 @@ void NodeController::refresh_selection_versioned(double now,
   store_.track_version(version);
   if (cache_hit()) return;
   if (!build_versioned_view(store_, version, config_.normal_range, *cost_,
-                            view_scratch_, view_)) {
+                            t_selection.builders, t_selection.view)) {
     return;  // unreachable: the owner check above already passed
   }
-  apply_selection(view_, now);
+  apply_selection(t_selection.view, now);
 }
 
 bool NodeController::cache_hit() const {
@@ -133,12 +154,12 @@ void NodeController::apply_selection(const topology::ViewGraph& view,
     const obs::ScopedTimer timer(
         probe_ != nullptr ? probe_->profiler() : nullptr,
         obs::Category::kProtocolSelect);
-    protocol_->select(view, chosen_);
+    protocol_->select(view, t_selection.chosen);
   }
   logical_.clear();
-  logical_.reserve(chosen_.size());
+  logical_.reserve(t_selection.chosen.size());
   actual_range_ = 0.0;
-  for (std::size_t index : chosen_) {
+  for (std::size_t index : t_selection.chosen) {
     logical_.push_back(view.id(index));
     // Cover every stored position of the neighbor (conservative under
     // interval views; equals the viewed distance for point views). The

@@ -144,11 +144,9 @@ class NodeController {
   const obs::Probe* probe_ = nullptr;
   // Scratch for link-removal diffs; allocated only while a probe counts.
   std::vector<NodeId> previous_logical_;
-  // Steady-state refreshes run allocation-free through these reusable
-  // buffers (view assembly scratch, assembled view, protocol output).
-  ViewScratch view_scratch_;
-  topology::ViewGraph view_;
-  std::vector<std::size_t> chosen_;
+  // The assembled view, its builder scratch and the protocol output live
+  // in one per-thread selection scratch in controller.cpp, shared by every
+  // controller the thread refreshes: nothing in it outlives a refresh.
   // Recompute cache: the store generation the current selection was
   // computed at. No store generation reaches the initial value.
   std::uint64_t selection_generation_ = ~std::uint64_t{0};

@@ -6,42 +6,53 @@
 // bottleneck formulation below handles interval costs directly: a path
 // link counts as "certainly cheaper" when its cost_max is below the direct
 // link's cost_min (enhanced condition 3).
+//
+// One Prim-style scan decides every neighbor, O(d^2) per select: it
+// settles bottleneck labels B (over owner paths, the least largest
+// cost_max CostKey), and v is removed iff B(v) < cost_min(u, v), which
+// holds exactly when some path's links all undercut cost_min(u, v). The
+// direct link never qualifies (cost_max >= cost_min), so B may route over
+// it. The scan only compares CostKeys (pinned to the per-neighbor search
+// by select_reference_test.cpp).
 #include <algorithm>
+#include <limits>
 
 #include "topology/protocol.hpp"
 
 namespace mstc::topology {
 
+// mstc:hot — one O(d^2) pass per select; all state lives in member scratch
 void LmstProtocol::select(const ViewGraph& view,
                           std::vector<std::size_t>& out) const {
   out.clear();
   const std::size_t n = view.node_count();
-  reachable_.assign(n, 0);
-  for (std::size_t v = 1; v < n; ++v) {
-    const CostKey direct = view.cost_min(0, v);
-    // BFS from the owner over links with cost_max < direct. The direct
-    // link itself never qualifies (cost_max >= cost_min), so paths found
-    // are genuine multi-hop (or cheaper single-hop witness chains).
-    std::fill(reachable_.begin(), reachable_.end(), 0);
-    reachable_[0] = 1;
-    stack_.assign(1, 0);
-    bool removed = false;
-    while (!stack_.empty() && !removed) {
-      const std::size_t a = stack_.back();
-      stack_.pop_back();
-      for (std::size_t b = 1; b < n; ++b) {
-        if (reachable_[b] || !view.has_link(a, b)) continue;
-        if (view.cost_max(a, b) < direct) {
-          if (b == v) {
-            removed = true;
-            break;
-          }
-          reachable_[b] = 1;
-          stack_.push_back(b);
-        }
+  if (n <= 1) return;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr NodeId kLast = std::numeric_limits<NodeId>::max();
+  // kUnreached sorts after every link, so unreached members are kept; the
+  // owner's empty path sorts before every link.
+  constexpr CostKey kUnreached{kInf, kLast, kLast};
+  bottleneck_.assign(n, kUnreached);
+  settled_.assign(n, 0);
+  bottleneck_[0] = CostKey{-kInf, 0, 0};
+  for (std::size_t a = 0;;) {
+    settled_[a] = 1;
+    for (std::size_t b = 1; b < n; ++b) {
+      if (settled_[b] || !view.has_link(a, b)) continue;
+      bottleneck_[b] = std::min(
+          bottleneck_[b], std::max(bottleneck_[a], view.cost_max(a, b)));
+    }
+    a = 0;
+    for (std::size_t b = 1; b < n; ++b) {
+      if (!settled_[b] && bottleneck_[b] < kUnreached &&
+          (a == 0 || bottleneck_[b] < bottleneck_[a])) {
+        a = b;
       }
     }
-    if (!removed) out.push_back(v);
+    if (a == 0) break;
+  }
+  for (std::size_t v = 1; v < n; ++v) {
+    if (!(bottleneck_[v] < view.cost_min(0, v))) out.push_back(v);
   }
 }
 

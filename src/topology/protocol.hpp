@@ -8,6 +8,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -71,6 +72,7 @@ class GabrielProtocol final : public Protocol {
 /// Local MST (Li, Hou & Sha; link-removal condition 3): remove (u, v) when
 /// a u-v path exists whose every link is cheaper than (u, v). Equivalent to
 /// keeping exactly the local-MST edges at u by the cycle property.
+/// Decided for every neighbor by one O(d^2) bottleneck-label scan.
 class LmstProtocol final : public Protocol {
  public:
   [[nodiscard]] std::string_view name() const override { return "MST"; }
@@ -80,9 +82,24 @@ class LmstProtocol final : public Protocol {
 
  private:
   // Per-instance scratch (see Protocol::select's threading contract).
-  mutable std::vector<char> reachable_;
-  mutable std::vector<std::size_t> stack_;
+  mutable std::vector<CostKey> bottleneck_;
+  mutable std::vector<char> settled_;
 };
+
+/// Reusable state of spt_children (one per protocol instance).
+struct SptScratch {
+  std::vector<double> dist;
+  std::vector<char> settled;
+};
+
+/// Link-removal condition 2 for every neighbor in one O(d^2) pass: writes
+/// into `out` (cleared first) each view index v that no strictly cheaper
+/// multi-hop path (cost_max links) undercuts cost_min(0, v). Only members
+/// with inside[v] != 0 take part, as targets and as relays; an empty
+/// `inside` admits every member. Shared by SptProtocol and
+/// SearchRegionSptProtocol.
+void spt_children(const ViewGraph& view, std::span<const char> inside,
+                  SptScratch& scratch, std::vector<std::size_t>& out);
 
 /// Minimum-energy / shortest-path-tree protocol (condition 2): remove
 /// (u, v) when a multi-hop u-v path costs less than the direct link.
@@ -99,8 +116,7 @@ class SptProtocol final : public Protocol {
  private:
   std::string display_name_;
   // Per-instance scratch (see Protocol::select's threading contract).
-  mutable std::vector<double> dist_;
-  mutable std::vector<std::pair<double, std::size_t>> heap_;
+  mutable SptScratch scratch_;
 };
 
 /// Minimum-energy protocol with a dynamic search region (Rodoplu-Meng /
@@ -125,8 +141,7 @@ class SearchRegionSptProtocol final : public Protocol {
   double initial_fraction_;
   // Per-instance scratch (see Protocol::select's threading contract).
   mutable std::vector<char> inside_;
-  mutable std::vector<double> dist_;
-  mutable std::vector<std::pair<double, std::size_t>> heap_;
+  mutable SptScratch spt_;
 };
 
 /// Yao graph: divide the plane around the owner into k equal cones and keep

@@ -5,10 +5,12 @@
 // connectivity guarantee — and the whole mobility-sensitive machinery —
 // applies unchanged. That is precisely what the paper's Section 6 asks
 // for: extending the framework to partial-information protocols.
+//
+// The final decision is SptProtocol's single-source pass (spt_children in
+// spt.cpp) restricted to the members inside the search region: one
+// Dijkstra from the owner over the region decides every inside target.
 #include <algorithm>
 #include <cassert>
-#include <functional>
-#include <limits>
 
 #include "topology/protocol.hpp"
 
@@ -21,6 +23,7 @@ SearchRegionSptProtocol::SearchRegionSptProtocol(std::string display_name,
   assert(initial_fraction_ > 0.0 && initial_fraction_ <= 1.0);
 }
 
+// mstc:hot — region growth plus one spt_children pass; member scratch only
 void SearchRegionSptProtocol::select(const ViewGraph& view,
                                      std::vector<std::size_t>& out) const {
   out.clear();
@@ -55,38 +58,9 @@ void SearchRegionSptProtocol::select(const ViewGraph& view,
     radius = std::min(2.0 * radius, max_distance);
   }
 
-  // SPT children of the owner within the region (Dijkstra over inside
-  // nodes only, pessimistic costs; direct link masked per target as in
-  // SptProtocol). Same push_heap/pop_heap min-heap as SptProtocol: the
-  // exact algorithm std::priority_queue specifies, so pop order — and
-  // thus determinism — is unchanged.
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  dist_.resize(n);
-  for (std::size_t v = 1; v < n; ++v) {
-    if (!inside_[v]) continue;
-    const double direct = view.cost_min(0, v).value;
-    std::fill(dist_.begin(), dist_.end(), kInf);
-    dist_[0] = 0.0;
-    heap_.clear();
-    heap_.emplace_back(0.0, std::size_t{0});
-    while (!heap_.empty()) {
-      std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-      const auto [d, a] = heap_.back();
-      heap_.pop_back();
-      if (d > dist_[a] || d >= direct) continue;
-      for (std::size_t b = 1; b < n; ++b) {
-        if (b == a || !inside_[b] || !view.has_link(a, b)) continue;
-        if (a == 0 && b == v) continue;
-        const double candidate = d + view.cost_max(a, b).value;
-        if (candidate < dist_[b]) {
-          dist_[b] = candidate;
-          heap_.emplace_back(candidate, b);
-          std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
-        }
-      }
-    }
-    if (!(direct > dist_[v])) out.push_back(v);
-  }
+  // SPT children of the owner within the region: SptProtocol's
+  // single-source condition-2 pass over the inside members only.
+  spt_children(view, inside_, spt_, out);
 }
 
 }  // namespace mstc::topology

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/effective.hpp"
+#include "util/prng.hpp"
 
 namespace mstc::core {
 namespace {
@@ -114,6 +115,84 @@ TEST_F(ControllerTest, WeakModeUsesIntervalRange) {
   node.on_hello_send(1.5, {0.0, 0.0}, 1);
   EXPECT_EQ(node.logical_neighbors(), (std::vector<NodeId>{1}));
   EXPECT_NEAR(node.actual_range(), 6.0, 1e-6);
+}
+
+TEST_F(ControllerTest, InterleavedRefreshesShareScratchWithoutCrossTalk) {
+  // Every controller a thread refreshes assembles its view in one
+  // per-thread selection scratch. A crowded weak-mode neighborhood (60
+  // members, interval views) and a sparse latest-mode one (2 members out
+  // of each other's range) refreshing alternately must each select
+  // exactly what they select alone: a link flag, id or output index left
+  // behind by one refresh would leak into the other's selection.
+  constexpr std::size_t kRounds = 16;
+  constexpr std::size_t kCrowd = 60;
+  util::Xoshiro256 rng(4242);
+  std::vector<std::vector<Vec2>> crowd(kRounds);
+  for (auto& round : crowd) {
+    for (std::size_t m = 0; m < kCrowd; ++m) {
+      round.push_back({rng.uniform(-170.0, 170.0), rng.uniform(-170.0, 170.0)});
+    }
+  }
+
+  ControllerConfig sparse_config;
+  sparse_config.recompute_cache = false;
+  ControllerConfig crowd_config = sparse_config;
+  crowd_config.mode = ConsistencyMode::kWeak;
+  crowd_config.history_limit = 2;
+
+  using Selections = std::vector<std::vector<NodeId>>;
+  // One round: the neighbors' Hellos, then the owner's, which refreshes.
+  const auto crowd_round = [&](NodeController& node, std::size_t round,
+                               Selections& out) {
+    const double t = static_cast<double>(round) + 0.5;
+    for (std::size_t m = 0; m < kCrowd; ++m) {
+      node.on_hello_receive(hello(100 + m, crowd[round][m], round + 1, t), t);
+    }
+    node.on_hello_send(t + 0.1, {0.0, 0.0}, round + 1);
+    out.push_back(node.logical_neighbors());
+  };
+  const auto sparse_round = [&](NodeController& node, std::size_t round,
+                                Selections& out) {
+    const double t = static_cast<double>(round) + 0.5;
+    node.on_hello_receive(hello(1, {-200.0, t}, round + 1, t), t);
+    node.on_hello_receive(hello(2, {200.0, -t}, round + 1, t), t);
+    node.on_hello_send(t + 0.1, {0.0, 0.0}, round + 1);
+    out.push_back(node.logical_neighbors());
+  };
+
+  Selections crowd_alone;
+  Selections sparse_alone;
+  {
+    NodeController crowded(0, mst_, cost_, crowd_config);
+    for (std::size_t round = 0; round < kRounds; ++round) {
+      crowd_round(crowded, round, crowd_alone);
+    }
+    NodeController sparse(500, mst_, cost_, sparse_config);
+    for (std::size_t round = 0; round < kRounds; ++round) {
+      sparse_round(sparse, round, sparse_alone);
+    }
+  }
+
+  Selections crowd_interleaved;
+  Selections sparse_interleaved;
+  NodeController crowded(0, mst_, cost_, crowd_config);
+  NodeController sparse(500, mst_, cost_, sparse_config);
+  for (std::size_t round = 0; round < kRounds; ++round) {
+    crowd_round(crowded, round, crowd_interleaved);
+    sparse_round(sparse, round, sparse_interleaved);
+  }
+
+  EXPECT_EQ(crowd_interleaved, crowd_alone);
+  EXPECT_EQ(sparse_interleaved, sparse_alone);
+  // Both neighborhoods are non-trivial: the crowd's MST prunes, and the
+  // sparse pair, with no link between them, is always kept.
+  for (const auto& chosen : crowd_alone) {
+    EXPECT_GT(chosen.size(), 0u);
+    EXPECT_LT(chosen.size(), kCrowd);
+  }
+  for (const auto& chosen : sparse_alone) {
+    EXPECT_EQ(chosen, (std::vector<NodeId>{1, 2}));
+  }
 }
 
 TEST(CanDeliver, RequiresRangeAndLogicalOrPn) {

@@ -367,7 +367,15 @@ TEST(Determinism, ShardedKernelMatchesSerialByteForByte) {
   still.protocol = "MST";
   still.mode = core::ConsistencyMode::kWeak;
 
-  for (const auto& base : {waypoint, still}) {
+  // Fast SPT-4 fleet: large, changing views through the single-source
+  // select and the per-thread selection scratch, on the pool threads that
+  // drain the shard batches (the TSan job's view of that scratch).
+  ScenarioConfig fast = waypoint;
+  fast.protocol = "SPT-4";
+  fast.average_speed = 160.0;
+  fast.mode = core::ConsistencyMode::kLatest;
+
+  for (const auto& base : {waypoint, still, fast}) {
     const auto reference = bit_snapshot(serial_reference({base}, kRepeats));
     for (const std::size_t shards :
          {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
@@ -375,8 +383,8 @@ TEST(Determinism, ShardedKernelMatchesSerialByteForByte) {
       sharded.shards = shards;
       ASSERT_EQ(bit_snapshot(serial_reference({sharded}, kRepeats)),
                 reference)
-          << base.mobility_model << " fleet diverged at " << shards
-          << " shards";
+          << base.mobility_model << " " << base.protocol
+          << " fleet diverged at " << shards << " shards";
     }
 
     // Env path: MSTC_SHARDS is how sweeps and benches opt in.

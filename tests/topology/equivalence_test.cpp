@@ -10,33 +10,14 @@
 
 #include "geom/predicates.hpp"
 #include "graph/algorithms.hpp"
+#include "support/view_fixtures.hpp"
 #include "topology/protocol.hpp"
 #include "util/prng.hpp"
 
 namespace mstc::topology {
 namespace {
 
-using geom::Vec2;
-
-constexpr double kRange = 250.0;
-
-struct LocalView {
-  std::vector<Vec2> positions;  // positions[0] = owner
-  ViewGraph view;
-};
-
-LocalView random_view(util::Xoshiro256& rng, std::size_t neighbors,
-                      const CostModel& cost) {
-  std::vector<Vec2> positions{{0.0, 0.0}};
-  while (positions.size() < neighbors + 1) {
-    const Vec2 p{rng.uniform(-kRange, kRange), rng.uniform(-kRange, kRange)};
-    if (p.norm() <= kRange) positions.push_back(p);
-  }
-  std::vector<NodeId> ids(positions.size());
-  for (NodeId i = 0; i < ids.size(); ++i) ids[i] = i;
-  return {positions,
-          make_consistent_view(positions, ids, 0, kRange, cost)};
-}
+using fixtures::random_view;
 
 TEST(Equivalence, LmstSelectionMatchesLocalMstEdges) {
   const DistanceCost cost;
