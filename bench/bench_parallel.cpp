@@ -1,37 +1,32 @@
-// Event-kernel benchmark: queue backends and intra-replication sharding.
+// Event-kernel benchmark: the calendar queue against the heap reference.
 //
-// Each row runs one replication of the full scenario pipeline three
-// times at fixed density across n —
+// Each row runs one replication of the full scenario pipeline twice at
+// fixed density across n —
 //
-//   serial_heap   binary-heap queue, serial kernel (the reference)
-//   serial        calendar queue, serial kernel
-//   sharded       calendar queue, spatially sharded kernel
+//   serial_heap   binary-heap queue (the reference)
+//   serial        calendar queue (the scenario default)
 //
-// — and asserts all three arms' RunStats are byte-identical (the
-// pluggable queue's and the sharded kernel's core contracts; the
-// determinism suite pins both). Reported per arm:
+// — and asserts both arms' RunStats are byte-identical (the pluggable
+// queue's core contract; the determinism suite pins it too). Reported per
+// arm:
 //
 //   events_per_s   simulator events per wall second (obs::Profiler's
 //                  event-loop measurement, setup excluded)
 //   wall_s         event-loop wall seconds
-//   queue/shards/threads   what the arm actually ran with
+//   queue          the backend the arm ran on
 //
-// and per row the sharded/serial speedup, the calendar/heap
-// queue_speedup, plus the sharded arm's barrier count and cross-shard
-// share. The shard speedup column is only meaningful on a multi-core
-// runner: `cores` (std::thread::hardware_concurrency) and per-arm
-// `threads` (the pool actually used) are recorded so
-// tools/bench_check.py can gate the ratio on machines that can express
-// parallelism and gate bit-identity (and the queue's scaling slope)
-// everywhere. Writes BENCH_parallel.json:
+// and per row the calendar/heap queue_speedup. Both arms run on the
+// calling thread, so the ratio cancels the machine; `cores` is recorded
+// alongside so baselines say where they came from. tools/bench_check.py
+// gates bit-identity, exact event counts, queue_speedup and the serial
+// arm's events/s-vs-n scaling slope. Writes BENCH_parallel.json:
 //
 //   ./build/bench/bench_parallel                # full sweep -> BENCH_parallel.json
 //   ./build/bench/bench_parallel --out <path>   # alternate output path
 //   ./build/bench/bench_parallel --smoke        # CI guard: tiny n, asserts
-//                                               #   byte-identity across all
-//                                               #   arms + engaged barriers;
-//                                               #   no JSON
-#include <algorithm>
+//                                               #   byte-identity and equal
+//                                               #   event counts across both
+//                                               #   arms; no JSON
 #include <bit>
 #include <cinttypes>
 #include <cmath>
@@ -47,7 +42,6 @@
 #include "runner/config.hpp"
 #include "runner/scenario.hpp"
 #include "util/prng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -60,9 +54,6 @@ constexpr double kDensityNodes = 100.0;
 constexpr double kDuration = 4.0;  // simulated seconds per arm
 constexpr double kWarmup = 1.0;
 constexpr std::uint64_t kSeed = 20040815;
-// Requested strip count; effective_shards clamps it to the fleet's
-// grid-cell columns, so small fleets get fewer.
-constexpr std::size_t kShardsRequested = 16;
 
 struct RowSpec {
   const char* label;
@@ -96,8 +87,8 @@ ScenarioConfig make_config(const RowSpec& row, std::uint64_t seed_stream) {
   cfg.hello_interval = 1.0;
   cfg.duration = kDuration;
   cfg.warmup = kWarmup;
-  // Floods and snapshots are unkeyed (full-barrier) events; keep them
-  // rare so the measurement reflects the shardable beacon steady state.
+  // Keep floods and snapshots rare so the measurement reflects the
+  // beacon steady state the queue serves.
   cfg.flood_rate = 0.5;
   cfg.snapshot_rate = 0.25;
   cfg.flood_settle = 0.5;
@@ -119,44 +110,23 @@ struct ArmResult {
   double events_per_s = 0.0;
   double wall_s = 0.0;
   std::uint64_t events = 0;
-  std::uint64_t kernel_barriers = 0;
-  double cross_shard_share = 0.0;
   std::uint64_t queue_resizes = 0;
   const char* queue = "heap";
-  std::size_t shards_requested = 1;  // what the arm asked for
-  std::uint32_t shards = 1;    // effective (post-clamp) shard count
-  std::size_t threads = 1;     // pool threads the arm can actually use
   std::vector<std::uint64_t> bits;
 };
 
-ArmResult run_arm(ScenarioConfig cfg, std::size_t shards,
-                  const char* queue) {
-  cfg.shards = shards;
+ArmResult run_arm(ScenarioConfig cfg, const char* queue) {
   cfg.queue = queue;
   mstc::obs::RunObservation observation;
   observation.profile_on = true;
   const RunStats stats = mstc::runner::run_scenario(cfg, &observation);
   ArmResult arm;
   arm.queue = queue;
-  arm.shards_requested = shards;
-  arm.shards = mstc::runner::resolved_shard_count(cfg);
-  arm.threads =
-      arm.shards > 1 ? mstc::util::global_pool().thread_count() : 1;
   arm.events = observation.profiler.events();
   arm.wall_s =
       static_cast<double>(observation.profiler.run_wall_ns()) * 1e-9;
   arm.events_per_s =
       arm.wall_s > 0.0 ? static_cast<double>(arm.events) / arm.wall_s : 0.0;
-  arm.kernel_barriers =
-      observation.counters.total(mstc::obs::Counter::kKernelBarriers);
-  const std::uint64_t deliveries =
-      observation.counters.total(mstc::obs::Counter::kMediumDeliveries);
-  const std::uint64_t cross = observation.counters.total(
-      mstc::obs::Counter::kKernelCrossShardEvents);
-  arm.cross_shard_share =
-      deliveries > 0 ? static_cast<double>(cross) /
-                           static_cast<double>(deliveries)
-                     : 0.0;
   arm.queue_resizes =
       observation.counters.total(mstc::obs::Counter::kKernelQueueResizes);
   arm.bits = bit_snapshot(stats);
@@ -167,44 +137,29 @@ struct RowResult {
   RowSpec spec;
   ArmResult serial_heap;
   ArmResult serial;
-  ArmResult sharded;
-  double speedup = 0.0;        // sharded over serial (both calendar)
-  double queue_speedup = 0.0;  // calendar over heap (both serial)
+  double queue_speedup = 0.0;  // calendar over heap
   bool results_identical = false;
 };
 
 RowResult run_row(const RowSpec& row, std::uint64_t seed_stream) {
   RowResult result;
   result.spec = row;
-  result.serial_heap = run_arm(make_config(row, seed_stream), 1, "heap");
-  result.serial = run_arm(make_config(row, seed_stream), 1, "calendar");
-  result.sharded =
-      run_arm(make_config(row, seed_stream), kShardsRequested, "calendar");
-  result.speedup = result.sharded.wall_s > 0.0
-                       ? result.serial.wall_s / result.sharded.wall_s
-                       : 0.0;
+  result.serial_heap = run_arm(make_config(row, seed_stream), "heap");
+  result.serial = run_arm(make_config(row, seed_stream), "calendar");
   result.queue_speedup = result.serial.wall_s > 0.0
                              ? result.serial_heap.wall_s / result.serial.wall_s
                              : 0.0;
-  // Byte-identity is on RunStats. Raw event counts legitimately differ
-  // between serial and sharded (the sharded arm schedules one extra
-  // node-local event per Hello — the deferred post-send refresh), so
-  // both counts are reported instead; the two serial arms must match
-  // exactly (the queue backend cannot change what gets scheduled).
-  result.results_identical = result.serial.bits == result.sharded.bits &&
-                             result.serial.bits == result.serial_heap.bits;
+  // Byte-identity is on RunStats; event counts must match exactly too
+  // (the queue backend cannot change what gets scheduled), which
+  // tools/bench_check.py checks from the JSON.
+  result.results_identical = result.serial.bits == result.serial_heap.bits;
   return result;
 }
 
 void print_row(const RowResult& r) {
-  std::printf(
-      "%-22s heap %11.0f ev/s  calendar %11.0f ev/s (%.2fx)  "
-      "sharded %11.0f ev/s (%.2fx)  (%" PRIu64 " barriers, cross %4.1f%%)  "
-      "%s\n",
-      r.spec.label, r.serial_heap.events_per_s, r.serial.events_per_s,
-      r.queue_speedup, r.sharded.events_per_s, r.speedup,
-      r.sharded.kernel_barriers, r.sharded.cross_shard_share * 100.0,
-      r.results_identical ? "identical" : "DIVERGED");
+  std::printf("%-22s heap %11.0f ev/s  calendar %11.0f ev/s (%.2fx)  %s\n",
+              r.spec.label, r.serial_heap.events_per_s, r.serial.events_per_s,
+              r.queue_speedup, r.results_identical ? "identical" : "DIVERGED");
 }
 
 void append_arm_json(std::string& json, const char* name,
@@ -212,19 +167,15 @@ void append_arm_json(std::string& json, const char* name,
   char buffer[512];
   std::snprintf(buffer, sizeof(buffer),
                 "      \"%s\": {\"events_per_s\": %.1f, \"wall_s\": %.6f, "
-                "\"events\": %" PRIu64 ", \"kernel_barriers\": %" PRIu64
-                ", \"cross_shard_share\": %.4f, \"queue\": \"%s\", "
-                "\"shards_requested\": %zu, \"shards\": %u, \"threads\": %zu, "
+                "\"events\": %" PRIu64 ", \"queue\": \"%s\", "
                 "\"queue_resizes\": %" PRIu64 "}",
-                name, arm.events_per_s, arm.wall_s, arm.events,
-                arm.kernel_barriers, arm.cross_shard_share, arm.queue,
-                arm.shards_requested, arm.shards, arm.threads,
+                name, arm.events_per_s, arm.wall_s, arm.events, arm.queue,
                 arm.queue_resizes);
   json += buffer;
 }
 
-bool write_json(const std::string& path, const std::vector<RowResult>& rows,
-                std::size_t threads) {
+bool write_json(const std::string& path,
+                const std::vector<RowResult>& rows) {
   std::string json = "{\n";
   json += "  \"bench\": \"bench_parallel\",\n";
   json += "  \"version\": \"" +
@@ -235,25 +186,10 @@ bool write_json(const std::string& path, const std::vector<RowResult>& rows,
       "  \"config\": {\"range_m\": %.1f, \"density\": \"%.0f nodes per "
       "%.0fx%.0f m^2\", \"protocol\": \"RNG\", \"mode\": \"ViewSync\", "
       "\"duration_s\": %.1f, \"warmup_s\": %.1f, \"flood_rate\": 0.5, "
-      "\"snapshot_rate\": 0.25, \"shards_requested\": %zu, \"cores\": %u, "
-      "\"threads\": %zu, \"seed\": %" PRIu64 "},\n",
+      "\"snapshot_rate\": 0.25, \"cores\": %u, \"threads\": 1, "
+      "\"seed\": %" PRIu64 "},\n",
       kRange, kDensityNodes, kDensitySide, kDensitySide, kDuration, kWarmup,
-      kShardsRequested, std::thread::hardware_concurrency(), threads, kSeed);
-  json += buffer;
-  // Requested vs effective parallelism, surfaced at top level so
-  // tools/bench_check.py can refuse to gate shard-speedup ratios on a
-  // machine whose pool could not actually express parallelism.
-  std::size_t max_effective = 1;
-  for (const RowResult& r : rows) {
-    max_effective = std::max(max_effective,
-                             static_cast<std::size_t>(r.sharded.shards));
-  }
-  std::snprintf(buffer, sizeof(buffer),
-                "  \"parallelism\": {\"shards_requested\": %zu, "
-                "\"max_effective_shards\": %zu, \"cores\": %u, "
-                "\"threads\": %zu},\n",
-                kShardsRequested, max_effective,
-                std::thread::hardware_concurrency(), threads);
+      std::thread::hardware_concurrency(), kSeed);
   json += buffer;
   json += "  \"results\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -266,13 +202,9 @@ bool write_json(const std::string& path, const std::vector<RowResult>& rows,
     json += ",\n";
     append_arm_json(json, "serial", r.serial);
     json += ",\n";
-    append_arm_json(json, "sharded", r.sharded);
-    json += ",\n";
     std::snprintf(buffer, sizeof(buffer),
-                  "      \"speedup\": %.2f, \"queue_speedup\": %.2f, "
-                  "\"results_identical\": %s}",
-                  r.speedup, r.queue_speedup,
-                  r.results_identical ? "true" : "false");
+                  "      \"queue_speedup\": %.2f, \"results_identical\": %s}",
+                  r.queue_speedup, r.results_identical ? "true" : "false");
     json += buffer;
     json += i + 1 < rows.size() ? ",\n" : "\n";
   }
@@ -298,24 +230,22 @@ void warn_if_dirty_version() {
 }
 
 int run_smoke() {
-  std::printf(
-      "bench_parallel --smoke: queue + sharded-kernel guard at tiny n\n");
+  std::printf("bench_parallel --smoke: queue guard at tiny n\n");
   int failures = 0;
   std::uint64_t stream = 1;
   for (const RowSpec& spec : kSmokeRows) {
     const RowResult r = run_row(spec, stream++);
     print_row(r);
     if (!r.results_identical) {
-      std::fprintf(
-          stderr,
-          "FAIL %s: heap / calendar / sharded arms are not byte-identical\n",
-          spec.label);
+      std::fprintf(stderr,
+                   "FAIL %s: heap / calendar arms are not byte-identical\n",
+                   spec.label);
       ++failures;
     }
-    // Zero barriers means the run silently fell back to the serial
-    // kernel — the guard would then compare serial against serial.
-    if (r.sharded.kernel_barriers == 0) {
-      std::fprintf(stderr, "FAIL %s: sharded kernel never engaged\n",
+    if (r.serial.events != r.serial_heap.events) {
+      std::fprintf(stderr,
+                   "FAIL %s: heap / calendar arms processed different event "
+                   "counts\n",
                    spec.label);
       ++failures;
     }
@@ -343,20 +273,16 @@ int main(int argc, char** argv) {
   }
   if (smoke) return run_smoke();
 
-  const std::size_t threads = mstc::util::global_pool().thread_count();
-  std::printf(
-      "=== event kernel: heap vs calendar queue, serial vs sharded ===\n");
-  std::printf(
-      "RNG + ViewSync, fixed density, %.0f s per arm, %zu-thread pool "
-      "(%u cores)\n\n",
-      kDuration, threads, std::thread::hardware_concurrency());
+  std::printf("=== event kernel: heap vs calendar queue ===\n");
+  std::printf("RNG + ViewSync, fixed density, %.0f s per arm (%u cores)\n\n",
+              kDuration, std::thread::hardware_concurrency());
   std::vector<RowResult> rows;
   std::uint64_t stream = 1;
   for (const RowSpec& spec : kRows) {
     rows.push_back(run_row(spec, stream++));
     print_row(rows.back());
   }
-  if (!write_json(out_path, rows, threads)) {
+  if (!write_json(out_path, rows)) {
     std::fprintf(stderr, "error: cannot write %s\n", out_path.c_str());
     return 1;
   }

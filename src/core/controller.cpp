@@ -33,22 +33,8 @@ NodeController::NodeController(NodeId id, const topology::Protocol& protocol,
       config_(config),
       store_(id, config.history_limit, config.view_expiry) {}
 
-void NodeController::rebind(const topology::Protocol& protocol,
-                            const topology::CostModel& cost) noexcept {
-  protocol_ = &protocol;
-  cost_ = &cost;
-}
-
 HelloRecord NodeController::on_hello_send(double now, geom::Vec2 true_position,
                                           std::uint64_t version) {
-  HelloRecord hello = on_hello_send_record(now, true_position, version);
-  post_send_refresh(now, version);
-  return hello;
-}
-
-HelloRecord NodeController::on_hello_send_record(double now,
-                                                 geom::Vec2 true_position,
-                                                 std::uint64_t version) {
   const HelloRecord hello{id_, {true_position, version, now}};
   store_.record(hello);
   ++hellos_sent_;
@@ -56,6 +42,7 @@ HelloRecord NodeController::on_hello_send_record(double now,
     probe_->count_node(obs::Counter::kHelloTx, id_);
     probe_->trace(obs::EventKind::kHelloTx, now, id_, 0.0, version);
   }
+  post_send_refresh(now, version);
   return hello;
 }
 

@@ -59,19 +59,9 @@ class NodeController {
   /// Records the position this node is about to advertise and returns the
   /// Hello to broadcast. Also refreshes the logical selection (the paper:
   /// "each node updates its logical neighbor set whenever it sends a
-  /// 'Hello' message"). Equivalent to on_hello_send_record followed by
-  /// post_send_refresh.
+  /// 'Hello' message") through post_send_refresh.
   HelloRecord on_hello_send(double now, geom::Vec2 true_position,
                             std::uint64_t version);
-
-  /// The record-only half of on_hello_send: stores the advertised
-  /// position and returns the Hello, without refreshing the selection.
-  /// The returned Hello never depends on the refresh, so the sharded
-  /// runner sends with this and defers post_send_refresh to a node-local
-  /// event at the same instant — byte-identical outcome, off the serial
-  /// path.
-  HelloRecord on_hello_send_record(double now, geom::Vec2 true_position,
-                                   std::uint64_t version);
 
   /// The refresh half of on_hello_send (mode-dependent; a no-op for
   /// reactive consistency). Touches only this node's state.
@@ -79,15 +69,6 @@ class NodeController {
 
   /// Records a received neighbor Hello.
   void on_hello_receive(const HelloRecord& hello, double now);
-
-  /// Swaps in an equivalent protocol/cost pair (same algorithm and
-  /// parameters). Sharded runs give each shard its own instances because
-  /// Protocol::select uses per-instance mutable scratch; rebinding at
-  /// ownership remaps keeps every controller on its shard's instances.
-  /// Purely an aliasing change: selections are identical under any
-  /// equivalent binding.
-  void rebind(const topology::Protocol& protocol,
-              const topology::CostModel& cost) noexcept;
 
   /// Recomputes the logical selection from the current store per the
   /// configured mode (ViewSync calls this on every packet transmission).
@@ -132,8 +113,7 @@ class NodeController {
   [[nodiscard]] bool cache_hit() const;
 
   NodeId id_;
-  // Pointers (never null) rather than references so rebind() can retarget
-  // them at shard-ownership remaps.
+  // Never null.
   const topology::Protocol* protocol_;
   const topology::CostModel* cost_;
   ControllerConfig config_;

@@ -54,10 +54,6 @@ const char* counter_name(Counter counter) noexcept {
       return "trace_cache_hits";
     case Counter::kTraceCacheMisses:
       return "trace_cache_misses";
-    case Counter::kKernelBarriers:
-      return "kernel_barriers";
-    case Counter::kKernelCrossShardEvents:
-      return "kernel_cross_shard_events";
     case Counter::kKernelQueueResizes:
       return "kernel_queue_resizes";
     case Counter::kCount:
@@ -74,8 +70,6 @@ const char* hist_name(Hist hist) noexcept {
       return "snapshot_connectivity";
     case Hist::kEpidemicDelay:
       return "epidemic_delay_s";
-    case Hist::kKernelBatchSpan:
-      return "kernel_batch_span_s";
     case Hist::kKernelBucketScanLen:
       return "kernel_bucket_scan_len";
     case Hist::kCount:
@@ -99,10 +93,6 @@ std::vector<double> default_edges(Hist hist) {
     }
     case Hist::kEpidemicDelay:
       return {0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0};
-    case Hist::kKernelBatchSpan:
-      // From single-instant batches (propagation-delay scale) up to the
-      // lookahead window (a Hello-interval fraction, typically <= 0.25 s).
-      return {1e-5, 1e-4, 1e-3, 0.01, 0.05, 0.1, 0.25, 1.0};
     case Hist::kKernelBucketScanLen:
       // 1 = the base bucket held the minimum (the O(1) fast path); the
       // tail diagnoses a bucket width too small for the event spacing.

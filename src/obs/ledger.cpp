@@ -57,10 +57,6 @@ const char* ledger_field_name(LedgerField field) noexcept {
       return "trace_cache_hit_rate";
     case LedgerField::kGridHitRate:
       return "grid_hit_rate";
-    case LedgerField::kKernelBarriers:
-      return "kernel_barriers";
-    case LedgerField::kKernelCrossShardShare:
-      return "kernel_cross_shard_share";
     case LedgerField::kKernelQueueResizes:
       return "kernel_queue_resizes";
     case LedgerField::kMediumQuerySeconds:
@@ -105,10 +101,6 @@ void RunLedger::capture(const RunObservation& observation,
       rate(trace_hits, trace_hits + counters.total(Counter::kTraceCacheMisses));
   grid_hit_rate = rate(counters.total(Counter::kMediumCandidatesAccepted),
                        counters.total(Counter::kMediumCandidates));
-  kernel_barriers = counters.total(Counter::kKernelBarriers);
-  kernel_cross_shard_share =
-      rate(counters.total(Counter::kKernelCrossShardEvents),
-           counters.total(Counter::kMediumDeliveries));
   kernel_queue_resizes = counters.total(Counter::kKernelQueueResizes);
   medium_query_ns = prof.nanos(Category::kMediumQuery);
   view_assembly_ns = prof.nanos(Category::kViewAssembly);
@@ -141,10 +133,6 @@ double RunLedger::value(LedgerField field) const noexcept {
       return trace_cache_hit_rate;
     case LedgerField::kGridHitRate:
       return grid_hit_rate;
-    case LedgerField::kKernelBarriers:
-      return static_cast<double>(kernel_barriers);
-    case LedgerField::kKernelCrossShardShare:
-      return kernel_cross_shard_share;
     case LedgerField::kKernelQueueResizes:
       return static_cast<double>(kernel_queue_resizes);
     case LedgerField::kMediumQuerySeconds:

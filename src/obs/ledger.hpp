@@ -51,8 +51,6 @@ enum class LedgerField : std::size_t {
   kRecomputeHitRate,   ///< recompute-cache skips / refresh decisions
   kTraceCacheHitRate,  ///< trace-cache hits / acquisitions
   kGridHitRate,        ///< medium candidates accepted / examined
-  kKernelBarriers,     ///< sharded-kernel batch drains (0 when serial)
-  kKernelCrossShardShare,  ///< cross-shard fraction of node-local events
   kKernelQueueResizes,  ///< calendar-queue rebuilds (0 under the heap)
   // Per-event cost split (docs/PERFORMANCE.md Amdahl accounting). These
   // nest: medium_query inside the issuing phase, protocol_select inside
@@ -60,7 +58,7 @@ enum class LedgerField : std::size_t {
   kMediumQuerySeconds,     ///< medium receiver/link query wall
   kViewAssemblySeconds,    ///< selection refresh wall (expire+view+select)
   kProtocolSelectSeconds,  ///< Protocol::select wall (subset of the above)
-  kDeliverySeconds,        ///< serial batched Hello fan-out dispatch wall
+  kDeliverySeconds,        ///< batched Hello fan-out dispatch wall
   kCount               // sentinel
 };
 
@@ -83,8 +81,6 @@ struct RunLedger {
   double recompute_hit_rate = 0.0;
   double trace_cache_hit_rate = 0.0;
   double grid_hit_rate = 0.0;
-  std::uint64_t kernel_barriers = 0;  ///< 0 under the serial kernel
-  double kernel_cross_shard_share = 0.0;  ///< cross-shard / medium deliveries
   std::uint64_t kernel_queue_resizes = 0;  ///< 0 under the heap backend
   std::uint64_t medium_query_ns = 0;     ///< kMediumQuery category wall
   std::uint64_t view_assembly_ns = 0;    ///< kViewAssembly category wall

@@ -22,9 +22,8 @@ namespace mstc::obs {
 /// docs/PERFORMANCE.md: kMediumQuery nests inside the phase that issued
 /// the query (like kTraceGen inside kSetup), kProtocolSelect nests inside
 /// the refresh that kViewAssembly times, and kDelivery is attributed by
-/// the serial kernel's batched fan-out dispatch (one timed scope per
-/// broadcast; deferred sharded drains and the unbatched escape hatch stay
-/// unattributed, like every deferred handler).
+/// the kernel's batched fan-out dispatch (one timed scope per broadcast;
+/// the unbatched escape hatch's per-receiver events stay unattributed).
 enum class Category : std::size_t {
   kSetup,      ///< scenario construction (traces, controllers, wiring)
   kTraceGen,   ///< mobility trace acquisition (subset of kSetup's span)
@@ -36,7 +35,7 @@ enum class Category : std::size_t {
   kMediumQuery,     ///< medium receiver/link queries (nested subset)
   kViewAssembly,    ///< selection refresh: expire + view build + select
   kProtocolSelect,  ///< Protocol::select proper (subset of kViewAssembly)
-  kDelivery,        ///< Hello delivery fan-out (serial batched dispatch)
+  kDelivery,        ///< Hello delivery fan-out (batched dispatch)
   kCount       // sentinel
 };
 

@@ -25,8 +25,6 @@ ScenarioConfig apply_env_overrides(ScenarioConfig base) {
   if (util::env_flag("MSTC_NO_TRACE_CACHE")) base.trace_cache = false;
   if (util::env_flag("MSTC_NO_BATCH_DELIVERY")) base.batch_delivery = false;
   if (util::env_flag("MSTC_FILTER_SCALAR")) base.scalar_filter = true;
-  base.shards = static_cast<std::size_t>(
-      util::env_or("MSTC_SHARDS", static_cast<std::int64_t>(base.shards)));
   base.queue = util::env_or("MSTC_EVENT_QUEUE", base.queue);
   return base;
 }

@@ -3,7 +3,7 @@
 // Defaults mirror the paper's Section 5.1 setup (100 nodes, 900x900 m^2,
 // 250 m normal range, random waypoint with zero pause, ~1 s jittered Hello
 // interval) with CI-scale duration/rates; see paper_scale() for the exact
-// paper parameters and env_scenario_overrides() for MSTC_* escalation.
+// paper parameters and apply_env_overrides() for MSTC_* escalation.
 #pragma once
 
 #include <cstdint>
@@ -71,11 +71,11 @@ struct ScenarioConfig {
   bool trace_cache = true;
   /// Deliver Hello broadcasts through the kernel's batched fan-out (one
   /// queue entry + one shared closure per transmission) instead of one
-  /// schedule_local per receiver. Sequence numbers are pre-assigned so the
+  /// schedule_at per receiver. Sequence numbers are pre-assigned so the
   /// event stream is byte-identical either way — pinned by
-  /// Determinism.BatchedDeliveryMatchesUnbatched (serial and sharded);
-  /// the per-receiver loop is kept as the differential baseline. Env
-  /// escape hatch: MSTC_NO_BATCH_DELIVERY=1.
+  /// Determinism.BatchedDeliveryMatchesUnbatchedByteForByte; the
+  /// per-receiver loop is kept as the differential baseline. Env escape
+  /// hatch: MSTC_NO_BATCH_DELIVERY=1.
   bool batch_delivery = true;
   /// Serve the medium/snapshot candidate re-check with the portable
   /// scalar loop instead of the SIMD block filter (see geom/filter.hpp).
@@ -84,16 +84,6 @@ struct ScenarioConfig {
   /// pinned by Determinism.ScalarFilterMatchesWide. Env escape hatch:
   /// MSTC_FILTER_SCALAR=1.
   bool scalar_filter = false;
-  /// Intra-replication parallelism: shard the event kernel spatially and
-  /// run shards concurrently within this one replication. 1 (default) is
-  /// the serial kernel, exactly; >= 2 requests that many x-axis strips
-  /// (clamped by fleet size and grid-cell width). Byte-identical to serial
-  /// for any value — pinned by
-  /// Determinism.ShardedKernelMatchesSerialByteForByte. The scenario falls
-  /// back to serial when a feature needs a global event order (csma MAC,
-  /// event tracing / flight recorder). Env: MSTC_SHARDS (count) and
-  /// MSTC_KERNEL_SERIAL=1 (force-serial escape hatch).
-  std::size_t shards = 1;
   /// Event-queue backend: "calendar" (default — the O(1) bucketed
   /// scheduler, see sim/event_queue.hpp) or "heap" (the binary-heap
   /// reference). Pop order is a strict (time, sequence) total order, so
@@ -132,8 +122,11 @@ struct ScenarioConfig {
 [[nodiscard]] ScenarioConfig paper_scale(ScenarioConfig base);
 
 /// Applies MSTC_SIM_TIME / MSTC_NODES / MSTC_FLOOD_RATE /
-/// MSTC_SNAPSHOT_RATE / MSTC_WARMUP env overrides; MSTC_PAPER_SCALE=1
-/// applies paper_scale first.
+/// MSTC_SNAPSHOT_RATE / MSTC_WARMUP env overrides and the escape hatches
+/// documented on the fields above; MSTC_PAPER_SCALE=1 applies paper_scale
+/// first. This is the only reader of MSTC_* for scenario behaviour: the
+/// CLIs and benches call it at their boundary, and run_scenario reads
+/// nothing but its ScenarioConfig.
 [[nodiscard]] ScenarioConfig apply_env_overrides(ScenarioConfig base);
 
 /// Repetition count for sweeps: MSTC_REPEATS env or `fallback`.

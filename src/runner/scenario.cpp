@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <memory>
 #include <numbers>
 #include <optional>
@@ -16,9 +15,7 @@
 #include "sim/medium.hpp"
 #include "sim/simulator.hpp"
 #include "topology/protocol.hpp"
-#include "util/options.hpp"
 #include "util/prng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace mstc::runner {
 
@@ -58,8 +55,8 @@ std::unique_ptr<mobility::MobilityModel> make_mobility(
 /// TraceCache when enabled (sweep points differing only in protocol /
 /// mode / buffer share one set), generated privately otherwise.
 /// Generation is pure in (mobility inputs, derived seed), so the two
-/// sources are bit-identical and MSTC_NO_TRACE_CACHE=1 / trace_cache =
-/// false is a pure wall-clock escape hatch.
+/// sources are bit-identical and trace_cache = false is a pure wall-clock
+/// escape hatch.
 std::shared_ptr<const mobility::TraceSet> acquire_traces(
     const ScenarioConfig& cfg, const obs::Probe& probe) {
   const obs::ScopedTimer timer(probe.profiler(), obs::Category::kTraceGen);
@@ -68,7 +65,7 @@ std::shared_ptr<const mobility::TraceSet> acquire_traces(
     return mobility::generate_traces(*make_mobility(cfg), cfg.node_count,
                                      cfg.duration, seed);
   };
-  if (!cfg.trace_cache || util::env_flag("MSTC_NO_TRACE_CACHE")) {
+  if (!cfg.trace_cache) {
     probe.count(obs::Counter::kTraceCacheMisses);
     return std::make_shared<const mobility::TraceSet>(generate());
   }
@@ -83,50 +80,13 @@ std::shared_ptr<const mobility::TraceSet> acquire_traces(
   return traces;
 }
 
-/// Narrows a NodeId to the kernel's 31-bit event-key domain; fleet sizes
-/// are bounded far below it.
-std::uint32_t key_of(NodeId u) { return static_cast<std::uint32_t>(u); }
-
-/// Width of one spatial-grid cell column; shard strips align to these so a
-/// shard boundary is always a grid-cell boundary.
-double shard_cell_width(const ScenarioConfig& cfg) { return cfg.normal_range; }
-
-std::size_t shard_columns(const ScenarioConfig& cfg) {
-  return std::max<std::size_t>(
-      1, static_cast<std::size_t>(
-             std::ceil(cfg.area.width / shard_cell_width(cfg))));
-}
-
-/// Resolves the shard count actually used for this replication. Serial
-/// fallbacks: the MSTC_KERNEL_SERIAL=1 escape hatch; the csma MAC (its
-/// channel draws RNG per delivery, so deliveries must stay in the global
-/// serial order); event tracing / flight recording (their sinks record the
-/// global order). The count is clamped to the fleet size and to the number
-/// of grid-cell columns (a strip narrower than one cell cannot be cut).
-std::uint32_t effective_shards(const ScenarioConfig& cfg,
-                               const obs::RunObservation* observation) {
-  if (cfg.shards <= 1) return 1;
-  if (util::env_flag("MSTC_KERNEL_SERIAL")) return 1;
-  if (cfg.mac == "csma") return 1;
-  if (observation != nullptr &&
-      (observation->trace_on || observation->flight_on)) {
-    return 1;
-  }
-  const std::size_t clamped = std::max<std::size_t>(
-      1, std::min({cfg.shards, cfg.node_count, shard_columns(cfg)}));
-  return static_cast<std::uint32_t>(clamped);
-}
-
-/// Resolves the event-queue backend and its bucket-width hint. The
-/// MSTC_EVENT_QUEUE escape hatch wins over cfg.queue; unknown names are a
-/// configuration error.
-sim::QueueConfig resolve_queue(const ScenarioConfig& cfg,
-                               bool batch_delivery) {
-  const std::string name = util::env_or("MSTC_EVENT_QUEUE", cfg.queue);
+/// Resolves the event-queue backend and its bucket-width hint; unknown
+/// names are a configuration error.
+sim::QueueConfig resolve_queue(const ScenarioConfig& cfg) {
   const std::optional<sim::QueueBackend> backend =
-      sim::parse_queue_backend(name);
+      sim::parse_queue_backend(cfg.queue);
   if (!backend.has_value()) {
-    throw std::invalid_argument("unknown event queue backend: " + name);
+    throw std::invalid_argument("unknown event queue backend: " + cfg.queue);
   }
   sim::QueueConfig queue;
   queue.backend = *backend;
@@ -148,7 +108,7 @@ sim::QueueConfig resolve_queue(const ScenarioConfig& cfg,
                          fleet / area
                    : 0.0);
     const double per_interval =
-        batch_delivery ? fleet * 2.0 : fleet * (1.0 + degree);
+        cfg.batch_delivery ? fleet * 2.0 : fleet * (1.0 + degree);
     if (per_interval > 0.0 && cfg.hello_interval > 0.0) {
       const double cap = std::max(1e-6, cfg.hello_interval / 16.0);
       queue.bucket_width = std::clamp(
@@ -164,15 +124,13 @@ class Scenario {
  public:
   Scenario(const ScenarioConfig& cfg, obs::RunObservation* observation)
       : cfg_(cfg),
-        observation_(observation),
         probe_(observation),
         traces_(acquire_traces(cfg, probe_)),
         medium_(*traces_,
                 {.propagation_delay = kPropagationDelay,
                  .brute_force = cfg.medium_brute_force,
                  .grid_min_nodes = cfg.medium_grid_min_nodes,
-                 .scalar_filter = cfg.scalar_filter ||
-                                  util::env_flag("MSTC_FILTER_SCALAR")}),
+                 .scalar_filter = cfg.scalar_filter}),
         suite_(topology::make_protocol(cfg.protocol)),
         beacon_rng_(util::derive_seed(cfg.seed, 0xBEAC0)),
         traffic_rng_(util::derive_seed(cfg.seed, 0x7AFF1C)),
@@ -202,11 +160,7 @@ class Scenario {
     for (auto& node : nodes_) node.attach_probe(&probe_);
     medium_.set_probe(&probe_);
     simulator_.set_probe(&probe_);
-    batch_delivery_ =
-        cfg.batch_delivery && !util::env_flag("MSTC_NO_BATCH_DELIVERY");
-    scalar_filter_ = cfg.scalar_filter || util::env_flag("MSTC_FILTER_SCALAR");
-    configure_sharding(cfg, observation);
-    simulator_.configure_queue(resolve_queue(cfg, batch_delivery_));
+    simulator_.configure_queue(resolve_queue(cfg));
     // Size the event kernel for the whole run up front: per-node beacon
     // chains plus the pre-scheduled flood and snapshot events (x2 covers
     // per-hop forwarding churn and MAC retries).
@@ -237,14 +191,6 @@ class Scenario {
       profiler->add_run(obs::wall_now_ns() - wall_start,
                         simulator_.processed_events());
     }
-    // Fold the per-shard counter registries back into the run's registry
-    // (fixed shard order; merge is additive, so the totals are identical
-    // to what a serial run counts directly).
-    if (observation_ != nullptr) {
-      for (const obs::RunObservation& shard : shard_obs_) {
-        observation_->counters.merge(shard.counters);
-      }
-    }
     metrics::RunStats stats;
     stats.delivery_ratio = delivery_.mean();
     stats.strict_connectivity = strict_.mean();
@@ -265,78 +211,6 @@ class Scenario {
   }
 
  private:
-  // --- sharded kernel --------------------------------------------------
-
-  /// Resolves the shard count and, when parallel, builds the per-shard
-  /// protocol suites / counter registries and installs the kernel's
-  /// ShardPlan. Serial resolutions leave the kernel untouched.
-  void configure_sharding(const ScenarioConfig& cfg,
-                          obs::RunObservation* observation) {
-    shards_ = effective_shards(cfg, observation);
-    sharded_ = shards_ > 1;
-    if (!sharded_) return;
-    // Each shard gets its own protocol/cost instances because
-    // Protocol::select uses per-instance mutable scratch; remap_shards
-    // rebinds every controller to its owner shard's instances.
-    shard_suites_.reserve(shards_);
-    for (std::uint32_t s = 0; s < shards_; ++s) {
-      shard_suites_.push_back(topology::make_protocol(cfg.protocol));
-    }
-    shard_probes_.assign(shards_, obs::Probe{});
-    if (observation != nullptr) {
-      // Sized once; never resized afterwards (probes point into it).
-      shard_obs_ = std::vector<obs::RunObservation>(shards_);
-      for (std::uint32_t s = 0; s < shards_; ++s) {
-        shard_probes_[s] = obs::Probe(&shard_obs_[s]);
-      }
-    }
-    sim::Simulator::ShardPlan plan;
-    plan.shards = shards_;
-    // One propagation delay plus a fraction of the Hello period: long
-    // enough to batch a full beacon fan-out, short enough that shards
-    // rejoin several times per Hello interval. Purely a batching bound —
-    // conflicting serial events force their own exact barriers.
-    plan.lookahead = kPropagationDelay + 0.25 * cfg.hello_interval;
-    // Remap ownership before a border node can cross a whole strip:
-    // strip_width / (2 * vmax) seconds, floored at one Hello interval so
-    // static-ish fleets do not remap pointlessly. Zero top speed means
-    // ownership never goes stale — no epochs at all.
-    const double vmax =
-        cfg.mobility_model == "static" ? 0.0 : 1.5 * cfg.average_speed;
-    plan.epoch_interval =
-        vmax > 0.0 ? std::max(cfg.hello_interval,
-                              cfg.area.width /
-                                  (2.0 * vmax * static_cast<double>(shards_)))
-                   : 0.0;
-    plan.pool = &util::global_pool();
-    plan.remap = [this](double t, std::vector<std::uint32_t>& owner) {
-      remap_shards(t, owner);
-    };
-    simulator_.configure_sharding(std::move(plan));
-  }
-
-  /// Ownership map: x-axis strips aligned to spatial-grid cell columns,
-  /// balanced over shards. Also rebinds each controller to its shard's
-  /// protocol suite and counter registry (pure aliasing — see
-  /// NodeController::rebind).
-  void remap_shards(double now, std::vector<std::uint32_t>& owner) {
-    medium_.positions(now, position_buffer_);
-    owner.resize(nodes_.size());
-    const std::size_t columns = shard_columns(cfg_);
-    const double cell = shard_cell_width(cfg_);
-    for (NodeId u = 0; u < nodes_.size(); ++u) {
-      const double column = std::clamp(
-          std::floor(position_buffer_[u].x / cell), 0.0,
-          static_cast<double>(columns - 1));
-      const auto shard = static_cast<std::uint32_t>(
-          static_cast<std::size_t>(column) * shards_ / columns);
-      owner[u] = shard;
-      nodes_[u].rebind(*shard_suites_[shard].protocol,
-                       *shard_suites_[shard].cost);
-      nodes_[u].attach_probe(&shard_probes_[shard]);
-    }
-  }
-
   // --- beaconing -----------------------------------------------------
 
   void schedule_beaconing() {
@@ -349,8 +223,8 @@ class Scenario {
               cfg_.hello_interval *
               (1.0 + cfg_.hello_jitter * beacon_rng_.uniform(-1.0, 1.0));
           async_interval_.push_back(interval);
-          simulator_.schedule_serial(beacon_rng_.uniform(0.0, interval), key_of(u),
-                                     [this, u] { async_hello(u); });
+          simulator_.schedule_at(beacon_rng_.uniform(0.0, interval),
+                                 [this, u] { async_hello(u); });
         }
         break;
       case core::ConsistencyMode::kProactive:
@@ -373,8 +247,8 @@ class Scenario {
     const std::uint64_t version = ++last_hello_version_[u];
     broadcast_hello(u, version, now);
     if (now + async_interval_[u] <= cfg_.duration) {
-      simulator_.schedule_serial(now + async_interval_[u], key_of(u),
-                                 [this, u] { async_hello(u); });
+      simulator_.schedule_at(now + async_interval_[u],
+                             [this, u] { async_hello(u); });
     }
   }
 
@@ -382,8 +256,7 @@ class Scenario {
     const double base = static_cast<double>(round) * cfg_.hello_interval;
     if (base > cfg_.duration) return;
     for (NodeId u = 0; u < nodes_.size(); ++u) {
-      simulator_.schedule_serial(base + proactive_skew_[u], key_of(u),
-                                 [this, u, round] {
+      simulator_.schedule_at(base + proactive_skew_[u], [this, u, round] {
         const obs::ScopedTimer timer(probe_.profiler(),
                                      obs::Category::kBeaconing);
         last_hello_version_[u] = round;
@@ -401,9 +274,7 @@ class Scenario {
     // The initiator (node 0) starts the synchronization flood; every node
     // sends its Hello on first contact with the round, then decides after
     // a bounded wait.
-    simulator_.schedule_serial(start, 0, [this, round] {
-      sync_contact(0, round);
-    });
+    simulator_.schedule_at(start, [this, round] { sync_contact(0, round); });
     simulator_.schedule_at(start + kReactiveDecisionWait, [this, round] {
       const obs::ScopedTimer timer(probe_.profiler(),
                                    obs::Category::kSyncFlood);
@@ -442,31 +313,17 @@ class Scenario {
       const double delay = kPropagationDelay +
                            backoff_rng_.uniform(kMinForwardBackoff,
                                                 kMaxForwardBackoff);
-      simulator_.schedule_serial(now + delay, key_of(v), [this, v, round] {
+      simulator_.schedule_at(now + delay, [this, v, round] {
         sync_contact(v, round);
       });
     }
   }
 
-  // mstc:hot — one call per Hello; under sharding its deliveries and the
-  // sender's refresh become node-local (deferred, shard-parallel) events
+  // mstc:hot — one call per Hello
   void broadcast_hello(NodeId u, std::uint64_t version, double now) {
     ++control_transmissions_;
-    // Sharded: send with the record-only half and defer the (expensive)
-    // selection refresh to a node-local event at the same instant — the
-    // Hello payload never depends on the refresh, and a same-time local
-    // event keyed to u runs before anything that can observe u again, so
-    // the outcome is byte-identical to the fused on_hello_send.
     const core::HelloRecord hello =
-        sharded_
-            ? nodes_[u].on_hello_send_record(now, medium_.position(u, now),
-                                             version)
-            : nodes_[u].on_hello_send(now, medium_.position(u, now), version);
-    if (sharded_ && cfg_.mode != core::ConsistencyMode::kReactive) {
-      simulator_.schedule_local(now, key_of(u), [this, u, version, now] {
-        nodes_[u].post_send_refresh(now, version);
-      });
-    }
+        nodes_[u].on_hello_send(now, medium_.position(u, now), version);
     if (channel_) {
       channel_->transmit(u, cfg_.normal_range, kHelloBits,
                          [this, hello](NodeId v) {
@@ -478,10 +335,9 @@ class Scenario {
     }
     medium_.receivers(u, cfg_.normal_range, now, receiver_buffer_);
     // Capturing the delivery time at schedule time is bit-identical to
-    // reading now() at execution (schedule_in computes the same sum), and
-    // lets the handler run off the driving thread.
+    // reading now() at execution (schedule_in computes the same sum).
     const double at = now + kPropagationDelay;
-    if (batch_delivery_) {
+    if (cfg_.batch_delivery) {
       // Loss injection is applied here, in ascending receiver order, so
       // the loss_rng_ stream is drawn exactly as the per-receiver loop
       // below draws it; the surviving set then schedules as ONE fan-out
@@ -490,20 +346,19 @@ class Scenario {
       fanout_receivers_.clear();
       for (NodeId v : receiver_buffer_) {
         if (drop_by_loss_injection(v)) continue;
-        fanout_receivers_.push_back(key_of(v));
+        fanout_receivers_.push_back(static_cast<std::uint32_t>(v));
       }
       auto deliver = [this, hello, at](std::uint32_t v) {
         nodes_[v].on_hello_receive(hello, at);
       };
       // The hot-path closure: ONE per Hello (not per receiver). It is
-      // shared across deliveries — and across shards under the parallel
-      // drain — so it must not mutate its captures; on_hello_receive
-      // touches only the receiving node's state.
+      // shared across deliveries, so it must not mutate its captures;
+      // on_hello_receive touches only the receiving node's state.
       static_assert(sim::FanoutHandler::fits_inline<decltype(deliver)>);
       simulator_.schedule_fanout(at, fanout_receivers_, std::move(deliver));
       return;
     }
-    // Unbatched escape hatch (MSTC_NO_BATCH_DELIVERY): the differential
+    // Unbatched escape hatch (batch_delivery = false): the differential
     // baseline the batched fan-out is byte-compared against.
     // mstc-lint: allow(per-receiver-schedule)
     for (NodeId v : receiver_buffer_) {
@@ -514,7 +369,7 @@ class Scenario {
       // The hot-path handler: per receiver, per Hello. It must stay inside
       // the event kernel's inline storage or every delivery allocates.
       static_assert(sim::Handler::fits_inline<decltype(deliver)>);
-      simulator_.schedule_local(at, key_of(v), std::move(deliver));
+      simulator_.schedule_at(at, std::move(deliver));
     }
   }
 
@@ -665,7 +520,7 @@ class Scenario {
         nodes_, position_buffer_, snapshot_scratch_,
         {.brute_force = cfg_.snapshot_brute_force,
          .grid_min_nodes = cfg_.medium_grid_min_nodes,
-         .scalar_filter = scalar_filter_},
+         .scalar_filter = cfg_.scalar_filter},
         &probe_);
     strict_.add(stats.strict_connectivity);
     range_.add(stats.mean_range);
@@ -681,7 +536,6 @@ class Scenario {
   // --- state -----------------------------------------------------------
 
   ScenarioConfig cfg_;
-  obs::RunObservation* observation_ = nullptr;
   obs::Probe probe_;
   // Immutable, possibly shared with concurrent replications (TraceCache);
   // must be declared before medium_, which aliases it.
@@ -692,18 +546,6 @@ class Scenario {
   std::vector<core::NodeController> nodes_;
   std::unique_ptr<mac::ContentionChannel> channel_;  // null under ideal MAC
 
-  // Sharded-kernel state; empty when the replication resolved to serial.
-  std::uint32_t shards_ = 1;
-  bool sharded_ = false;
-  /// Batched Hello fan-out (config flag + MSTC_NO_BATCH_DELIVERY hatch),
-  /// resolved once per replication.
-  bool batch_delivery_ = true;
-  /// Scalar candidate-filter hatch (config flag + MSTC_FILTER_SCALAR),
-  /// resolved once and fed to the medium and the snapshot path.
-  bool scalar_filter_ = false;
-  std::vector<topology::ProtocolSuite> shard_suites_;
-  std::vector<obs::RunObservation> shard_obs_;  // merged into probe_'s after
-  std::vector<obs::Probe> shard_probes_;
 
   std::vector<double> async_interval_;
   std::vector<double> proactive_skew_;
@@ -748,10 +590,6 @@ metrics::RunStats run_scenario(const ScenarioConfig& config,
     scenario.emplace(config, observation);
   }
   return scenario->run();
-}
-
-std::uint32_t resolved_shard_count(const ScenarioConfig& config) {
-  return effective_shards(config, nullptr);
 }
 
 }  // namespace mstc::runner

@@ -25,11 +25,4 @@ namespace mstc::runner {
 [[nodiscard]] metrics::RunStats run_scenario(const ScenarioConfig& config,
                                              obs::RunObservation* observation);
 
-/// The shard count a replication of `config` would actually run with:
-/// config.shards after the MSTC_KERNEL_SERIAL / csma serial fallbacks and
-/// the fleet-size / grid-column clamps (see effective_shards in
-/// scenario.cpp). Tracing and flight recording force serial separately —
-/// this resolution assumes both are off, as in benchmarks.
-[[nodiscard]] std::uint32_t resolved_shard_count(const ScenarioConfig& config);
-
 }  // namespace mstc::runner

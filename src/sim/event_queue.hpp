@@ -46,7 +46,7 @@ using Time = double;
 
 /// Queue entry: ordering data plus the index of the kernel's Handler
 /// slot, so reordering moves 24 trivially-copyable bytes instead of
-/// closures. `key` carries the simulator's node id / local flag and never
+/// closures. `key` marks the simulator's batched fan-out entries and never
 /// participates in ordering.
 struct EventKey {
   Time time;

@@ -3,8 +3,6 @@
 #include <cassert>
 #include <utility>
 
-#include "util/thread_pool.hpp"
-
 namespace mstc::sim {
 
 void Simulator::reserve_events(std::size_t expected_events) {
@@ -14,9 +12,8 @@ void Simulator::reserve_events(std::size_t expected_events) {
 }
 
 // mstc:hot — runs once per scheduled event; slot reuse keeps it allocation-free
-void Simulator::push_event(Time at, std::uint32_t key, Handler handler) {
+void Simulator::schedule_at(Time at, Handler handler) {
   assert(at >= now_ && "cannot schedule in the past");
-  assert(!in_flush_ && "deferred node-local handlers must not schedule");
   std::uint32_t slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
@@ -26,33 +23,8 @@ void Simulator::push_event(Time at, std::uint32_t key, Handler handler) {
     slot = static_cast<std::uint32_t>(slots_.size());
     slots_.push_back(std::move(handler));
   }
-  queue_.push(EventKey{at, next_sequence_++, slot, key});
+  queue_.push(EventKey{at, next_sequence_++, slot, 0});
   if (probe_ != nullptr) probe_->count(obs::Counter::kSimEventsScheduled);
-}
-
-void Simulator::schedule_at(Time at, Handler handler) {
-  push_event(at, kNoKey, std::move(handler));
-}
-
-void Simulator::schedule_serial(Time at, std::uint32_t node, Handler handler) {
-  assert(node < kNoKey);
-  assert(plan_.shards <= 1 || node < owner_.size());
-  push_event(at, node, std::move(handler));
-}
-
-// mstc:hot — the shard-queue entry: one push per Hello delivery
-void Simulator::schedule_local(Time at, std::uint32_t node, Handler handler) {
-  assert(node < kNoKey);
-  if (plan_.shards > 1) {
-    assert(node < owner_.size());
-    if (probe_ != nullptr && current_key_ != kNoKey &&
-        owner_[node] != owner_[current_key_]) {
-      probe_->count(obs::Counter::kKernelCrossShardEvents);
-    }
-    push_event(at, node | kLocalFlag, std::move(handler));
-    return;
-  }
-  push_event(at, kNoKey, std::move(handler));
 }
 
 // mstc:hot — runs once per Hello broadcast; one queue push stands in for
@@ -62,7 +34,6 @@ void Simulator::schedule_fanout(Time at,
                                 std::span<const std::uint32_t> receivers,
                                 FanoutHandler fn) {
   assert(at >= now_ && "cannot schedule in the past");
-  assert(!in_flush_ && "deferred node-local handlers must not schedule");
   // The equivalent per-receiver loop pushes nothing for an empty set, so
   // neither does the batched path (no event, no sequence numbers).
   if (receivers.empty()) return;
@@ -72,20 +43,6 @@ void Simulator::schedule_fanout(Time at,
            "fan-out receivers must be unique and ascending");
   }
 #endif
-  if (plan_.shards > 1) {
-    // Preserve schedule_local's cross-shard accounting: each delivery
-    // whose owner differs from the scheduling serial event's counts once.
-    if (probe_ != nullptr && current_key_ != kNoKey) {
-      std::uint64_t crossing = 0;
-      for (const std::uint32_t node : receivers) {
-        assert(node < owner_.size());
-        crossing += owner_[node] != owner_[current_key_] ? 1u : 0u;
-      }
-      if (crossing != 0) {
-        probe_->count(obs::Counter::kKernelCrossShardEvents, crossing);
-      }
-    }
-  }
   std::uint32_t slot;
   if (!free_fanout_slots_.empty()) {
     slot = free_fanout_slots_.back();
@@ -97,7 +54,6 @@ void Simulator::schedule_fanout(Time at,
   FanoutSlot& entry = fanout_slots_[slot];
   entry.receivers.assign(receivers.begin(), receivers.end());
   entry.fn = std::move(fn);
-  entry.remaining = 0;
   // Reserve the exact consecutive sequence span the unbatched loop would
   // have drawn; dispatch replays it one delivery at a time.
   const std::uint64_t first = next_sequence_;
@@ -106,29 +62,6 @@ void Simulator::schedule_fanout(Time at,
   if (probe_ != nullptr) {
     probe_->count(obs::Counter::kSimEventsScheduled, receivers.size());
   }
-}
-
-void Simulator::configure_sharding(ShardPlan plan) {
-  assert(!in_flush_);
-  assert(deferred_total_ == 0 && "cannot reconfigure with a batch pending");
-  plan_ = std::move(plan);
-  if (plan_.shards <= 1) {
-    plan_.shards = 1;
-    next_epoch_ = std::numeric_limits<Time>::infinity();
-    return;
-  }
-  assert(plan_.remap && "sharded execution requires an ownership map");
-  plan_.remap(now_, owner_);
-  assert(!owner_.empty() && "remap must produce a node -> shard map");
-  pending_per_node_.assign(owner_.size(), 0u);
-  batches_.assign(plan_.shards, {});
-  for (auto& batch : batches_) batch.reserve(64);
-  if (plan_.lookahead <= 0.0) {
-    plan_.lookahead = std::numeric_limits<Time>::infinity();
-  }
-  next_epoch_ = plan_.epoch_interval > 0.0
-                    ? now_ + plan_.epoch_interval
-                    : std::numeric_limits<Time>::infinity();
 }
 
 // mstc:hot — runs once per dispatched event
@@ -144,7 +77,7 @@ Simulator::Handler Simulator::take_next() {
 
 // mstc:hot — one pop per broadcast, replayed as per-receiver deliveries
 // with the pre-assigned (time, sequence) keys of the unbatched stream
-void Simulator::run_fanout_serial(const EventKey& top) {
+void Simulator::run_fanout(const EventKey& top) {
   const Time at = top.time;
   const std::uint32_t slot = top.slot;
   std::uint64_t sequence = top.sequence;
@@ -175,15 +108,11 @@ void Simulator::release_fanout_slot(std::uint32_t slot) {
 }
 
 void Simulator::run_until(Time end) {
-  if (plan_.shards > 1) {
-    run_until_sharded(end);
-    return;
-  }
   while (!queue_.empty()) {
     const EventKey& top = queue_.peek();
     if (top.time > end) break;
     if (top.key == kFanoutKey) {
-      run_fanout_serial(top);
+      run_fanout(top);
       continue;
     }
     Handler handler = take_next();
@@ -192,144 +121,11 @@ void Simulator::run_until(Time end) {
   now_ = end;
 }
 
-// mstc:hot — the sharded dispatch loop; pops and deferrals reuse pre-grown
-// per-shard run lists, so the steady state stays allocation-free
-void Simulator::run_until_sharded(Time end) {
-  while (!queue_.empty() && queue_.peek().time <= end) {
-    const EventKey top = queue_.peek();
-    if (top.time >= next_epoch_) {
-      // Epoch barrier: drain, then let the scenario re-balance ownership
-      // from current positions. Batches are always empty across a remap,
-      // so no deferred event ever changes hands.
-      flush_batches();
-      plan_.remap(top.time, owner_);
-      do {
-        next_epoch_ += plan_.epoch_interval;
-      } while (next_epoch_ <= top.time);
-    }
-    if (deferred_total_ != 0 && top.time - batch_start_ > plan_.lookahead) {
-      flush_batches();
-    }
-    if (top.key == kFanoutKey) {
-      defer_fanout(top);
-      continue;
-    }
-    if ((top.key & kLocalFlag) != 0u) {
-      // Node-local: pop without executing; runs at the next barrier. The
-      // clock and counters advance exactly as if it ran here, so serial
-      // events interleaved with deferrals observe identical sequencing.
-      const std::uint32_t node = top.key & ~kLocalFlag;
-      queue_.pop();
-      now_ = top.time;
-      current_sequence_ = top.sequence;
-      ++processed_;
-      if (deferred_total_ == 0) batch_start_ = top.time;
-      batch_end_ = top.time;
-      batches_[owner_[node]].push_back(Deferred{top.slot, node});
-      ++pending_per_node_[node];
-      ++deferred_total_;
-    } else {
-      // Serial: drain first if this event could observe deferred state —
-      // keyed events conflict only with their own node's pending work,
-      // unkeyed events with any.
-      if (deferred_total_ != 0 &&
-          (top.key == kNoKey || pending_per_node_[top.key] != 0)) {
-        flush_batches();
-      }
-      Handler handler = take_next();
-      current_key_ = top.key;
-      handler();
-      current_key_ = kNoKey;
-    }
-  }
-  flush_batches();
-  now_ = end;
-}
-
-// mstc:hot — one pop per broadcast on the sharded kernel: the clock and
-// counters advance as if every delivery ran here, then each receiver is
-// deferred into its owner shard's batch
-void Simulator::defer_fanout(const EventKey& top) {
-  const Time at = top.time;
-  const std::uint32_t slot = top.slot;
-  const std::uint64_t first = top.sequence;
-  queue_.pop();  // invalidates `top`
-  FanoutSlot& entry = fanout_slots_[slot];
-  const std::uint64_t count = entry.receivers.size();
-  now_ = at;
-  current_sequence_ = first + count - 1;
-  processed_ += count;
-  if (deferred_total_ == 0) batch_start_ = at;
-  batch_end_ = at;
-  entry.remaining = static_cast<std::uint32_t>(count);
-  for (const std::uint32_t node : entry.receivers) {
-    batches_[owner_[node]].push_back(Deferred{slot, node, true});
-    ++pending_per_node_[node];
-  }
-  deferred_total_ += count;
-}
-
-// mstc:hot — barrier drain: executes deferred node-local handlers in heap
-// pop order per shard, shard-parallel when more than one shard has work.
-// Fan-out deliveries of one broadcast may span shards: the shared callable
-// is invoked concurrently for distinct nodes, which the schedule_fanout
-// contract (no mutation of captured state) makes race-free.
-void Simulator::flush_batches() {
-  if (deferred_total_ == 0) return;
-  if (probe_ != nullptr) {
-    probe_->count(obs::Counter::kKernelBarriers);
-    probe_->observe(obs::Hist::kKernelBatchSpan, batch_end_ - batch_start_);
-  }
-  std::size_t busy = 0;
-  for (const auto& batch : batches_) busy += batch.empty() ? 0u : 1u;
-  in_flush_ = true;
-  if (busy <= 1 || plan_.pool == nullptr || plan_.pool->thread_count() == 1) {
-    for (const auto& batch : batches_) {
-      for (const Deferred& deferred : batch) {
-        if (deferred.fanout) {
-          fanout_slots_[deferred.slot].fn(deferred.node);
-        } else {
-          slots_[deferred.slot]();
-        }
-      }
-    }
-  } else {
-    util::parallel_for_chunked(
-        *plan_.pool, batches_.size(), 1, [this](std::size_t shard) {
-          for (const Deferred& deferred : batches_[shard]) {
-            if (deferred.fanout) {
-              fanout_slots_[deferred.slot].fn(deferred.node);
-            } else {
-              slots_[deferred.slot]();
-            }
-          }
-        });
-  }
-  in_flush_ = false;
-  for (auto& batch : batches_) {
-    for (const Deferred& deferred : batch) {
-      --pending_per_node_[deferred.node];
-      if (deferred.fanout) {
-        if (--fanout_slots_[deferred.slot].remaining == 0) {
-          release_fanout_slot(deferred.slot);
-        }
-      } else {
-        free_slots_.push_back(deferred.slot);
-      }
-    }
-    batch.clear();
-  }
-  deferred_total_ = 0;
-}
-
 void Simulator::run_all() {
-  // Serial-only convenience (no callers drive an open-ended sharded run;
-  // sharded scenarios always know their horizon and use run_until).
-  assert(plan_.shards <= 1 && "run_all is serial-only; use run_until");
   while (!queue_.empty()) {
     const EventKey& top = queue_.peek();
     if (top.key == kFanoutKey) {
-      run_fanout_serial(top);
+      run_fanout(top);
       continue;
     }
     Handler handler = take_next();

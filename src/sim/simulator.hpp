@@ -11,37 +11,15 @@
 // see event_queue.hpp; both pop the identical stream).
 // reserve_events() pre-sizes everything from scenario parameters so even
 // warmup growth is a handful of vector doublings at most.
-//
-// Sharded execution (configure_sharding): scenarios may tag events with
-// the node they touch — schedule_serial() for events that read or write
-// shared state (medium, RNG streams, scheduling), schedule_local() for
-// events that only mutate their own node and schedule nothing. The kernel
-// still pops every event from the single global queue in exact
-// (time, sequence) order on the driving thread, but node-local events are
-// *deferred* into per-shard run lists instead of executing immediately;
-// they drain — shard-parallel — at the next barrier. A barrier fires
-// before any serial event that could observe deferred state (an event
-// keyed to a node with deferred work, or an unkeyed global event), when a
-// batch's sim-time span exceeds the configured lookahead, at ownership
-// remap epochs, and at the end of the run. Because deferred handlers of
-// distinct nodes commute and per-node order is preserved, the sharded
-// schedule is byte-identical to the serial kernel; a differential
-// determinism test asserts it. docs/PERFORMANCE.md has the full argument.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <limits>
 #include <span>
 #include <vector>
 
 #include "obs/probe.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/handler.hpp"
-
-namespace mstc::util {
-class ThreadPool;
-}  // namespace mstc::util
 
 namespace mstc::sim {
 
@@ -78,8 +56,6 @@ class Simulator {
   void reserve_events(std::size_t expected_events);
 
   /// Schedules `handler` at absolute time `at` (must be >= now()).
-  /// Unkeyed events are serial: under sharded execution they act as full
-  /// barriers (every deferred node-local handler drains first).
   void schedule_at(Time at, Handler handler);
 
   /// Schedules `handler` after `delay` seconds (must be >= 0).
@@ -87,69 +63,18 @@ class Simulator {
     schedule_at(now_ + delay, std::move(handler));
   }
 
-  /// Schedules a *serial* event keyed to `node`: the handler may touch
-  /// shared state (medium, RNG streams, probes, scheduling) but the only
-  /// node whose controller state it reads or writes is `node`. Under
-  /// sharded execution it drains deferred work for `node` alone — other
-  /// shards keep batching. With shards <= 1 this is exactly schedule_at.
-  void schedule_serial(Time at, std::uint32_t node, Handler handler);
-
-  /// Schedules a *node-local* event: the handler mutates only `node`'s
-  /// state, draws no RNG, touches no shared structure and schedules
-  /// nothing. Under sharded execution such events are deferred and run
-  /// shard-parallel at the next barrier; handlers of distinct nodes must
-  /// therefore commute (per-node order is preserved). With shards <= 1
-  /// this is exactly schedule_at.
-  void schedule_local(Time at, std::uint32_t node, Handler handler);
-
   /// Schedules a batched broadcast fan-out: one queue entry standing in
-  /// for `receivers.size()` node-local deliveries at time `at`, all
-  /// sharing the single callable `fn` (invoked as fn(node), ascending
-  /// receiver order). The call reserves `receivers.size()` consecutive
-  /// sequence numbers up front — exactly the numbers an equivalent
-  /// per-receiver schedule_local loop would have drawn — and dispatch
-  /// replays them one delivery at a time, so now()/current_sequence()/
-  /// processed_events() observed by each delivery (and the ordering of
-  /// anything scheduled afterwards) are byte-identical to the unbatched
-  /// stream. Each delivery carries the schedule_local contract: mutate
-  /// only its node, no RNG, no shared structure, schedule nothing.
-  /// Receiver ids must be unique; an empty span schedules nothing.
+  /// for `receivers.size()` deliveries at time `at`, all sharing the
+  /// single callable `fn` (invoked as fn(node), ascending receiver
+  /// order). The call reserves `receivers.size()` consecutive sequence
+  /// numbers up front — exactly the numbers an equivalent per-receiver
+  /// schedule_at loop would have drawn — and dispatch replays them one
+  /// delivery at a time, so now()/current_sequence()/processed_events()
+  /// observed by each delivery (and the ordering of anything scheduled
+  /// afterwards) are byte-identical to the unbatched stream. Receiver ids
+  /// must be unique; an empty span schedules nothing.
   void schedule_fanout(Time at, std::span<const std::uint32_t> receivers,
                        FanoutHandler fn);
-
-  /// Sharded-execution plan. shards <= 1 keeps the serial kernel
-  /// (the default); anything larger requires a remap callback.
-  struct ShardPlan {
-    std::uint32_t shards = 1;
-    /// Maximum sim-time span one deferred batch may cover before a forced
-    /// barrier. Correctness never depends on it (conflicting serial
-    /// events force exact barriers); it bounds batch skew so shards stay
-    /// load-balanced. <= 0 means unbounded.
-    Time lookahead = 0.0;
-    /// Period between ownership-remap epochs; <= 0 disables remapping
-    /// (static fleets never need one).
-    Time epoch_interval = 0.0;
-    /// Pool the barrier drain fans out on; nullptr drains on the driving
-    /// thread (still byte-identical, no speedup).
-    util::ThreadPool* pool = nullptr;
-    /// Fills `owner` with a node -> shard id (< shards) map valid at sim
-    /// time `t`, resizing it to the node count. Called at configure time
-    /// and again at every epoch barrier, always from the driving thread
-    /// with no batch in flight — ownership is purely a load-balancing
-    /// choice, never a correctness input. Cold path: a handful of calls
-    /// per run, so std::function's possible spill never hits the event
-    /// loop.
-    // mstc-tidy: allow(hot-std-function)
-    std::function<void(Time t, std::vector<std::uint32_t>& owner)> remap;
-  };
-
-  /// Installs the sharded-execution plan. Call before the first run;
-  /// events already scheduled keep their keys.
-  void configure_sharding(ShardPlan plan);
-
-  [[nodiscard]] std::uint32_t shard_count() const noexcept {
-    return plan_.shards;
-  }
 
   /// Runs events until the queue empties or the next event is later than
   /// `end`; the clock finishes at exactly `end`.
@@ -184,45 +109,20 @@ class Simulator {
   }
 
  private:
-  /// Key of an event keyed to no node (unkeyed serial / barrier events).
-  static constexpr std::uint32_t kNoKey = 0x7fffffffu;
-  /// High bit of EventKey::key marks node-local (deferrable) events.
-  static constexpr std::uint32_t kLocalFlag = 0x80000000u;
-  /// Key of a batched fan-out entry (its slot indexes fanout_slots_, not
-  /// slots_). Unambiguous: schedule_serial/schedule_local assert
-  /// node < kNoKey, so no node-keyed event ever carries this value.
-  static constexpr std::uint32_t kFanoutKey = kLocalFlag | kNoKey;
+  /// EventKey::key of a batched fan-out entry (its slot indexes
+  /// fanout_slots_, not slots_); every other event carries 0.
+  static constexpr std::uint32_t kFanoutKey = 1;
 
-  /// A popped-but-deferred node-local event awaiting the next barrier.
-  /// Its handler stays in the slot (slots_ for ordinary events,
-  /// fanout_slots_ when `fanout` is set); the slot is released after the
-  /// drain (fan-out slots once their last receiver has drained).
-  struct Deferred {
-    std::uint32_t slot;
-    std::uint32_t node;
-    bool fanout = false;
-  };
-
-  /// One in-flight batched broadcast: the receiver list, the shared
-  /// per-receiver callable, and (sharded only) how many deliveries are
-  /// still deferred before the slot can be recycled.
+  /// One in-flight batched broadcast: the receiver list and the shared
+  /// per-receiver callable.
   struct FanoutSlot {
     std::vector<std::uint32_t> receivers;
     FanoutHandler fn;
-    std::uint32_t remaining = 0;
   };
 
-  /// Common scheduling core behind the three schedule_* entry points.
-  void push_event(Time at, std::uint32_t key, Handler handler);
-
-  /// Pops + executes a fan-out entry on the serial kernel: replays the
-  /// reserved sequence span one delivery at a time.
-  void run_fanout_serial(const EventKey& top);
-
-  /// Pops a fan-out entry on the sharded kernel: advances the clock and
-  /// counters as if every delivery ran, then defers each receiver into
-  /// its owner shard's batch.
-  void defer_fanout(const EventKey& top);
+  /// Pops + executes a fan-out entry: replays the reserved sequence span
+  /// one delivery at a time.
+  void run_fanout(const EventKey& top);
 
   /// Returns a fan-out slot to the free list, keeping its receiver
   /// vector's capacity.
@@ -232,13 +132,6 @@ class Simulator {
   /// moved out, so a reentrant schedule_at may reuse it immediately) and
   /// advances the clock/sequence/processed counters; returns the handler.
   Handler take_next();
-
-  /// The sharded dispatch loop (run_until with plan_.shards > 1).
-  void run_until_sharded(Time end);
-
-  /// Barrier: drains every deferred batch (shard-parallel when more than
-  /// one shard has work), then releases their slots.
-  void flush_batches();
 
   EventQueue queue_;  // pluggable backend; heap by default
   std::vector<Handler> slots_;
@@ -250,18 +143,6 @@ class Simulator {
   std::uint64_t next_sequence_ = 0;
   std::uint64_t processed_ = 0;
   std::uint64_t current_sequence_ = 0;
-
-  // Sharded-execution state; untouched (and heap-free) when shards <= 1.
-  ShardPlan plan_;
-  std::vector<std::uint32_t> owner_;  // node -> shard id, remapped at epochs
-  std::vector<std::uint32_t> pending_per_node_;  // deferred events per node
-  std::vector<std::vector<Deferred>> batches_;   // per-shard run lists
-  std::size_t deferred_total_ = 0;
-  Time batch_start_ = 0.0;  // time of the current batch's first event
-  Time batch_end_ = 0.0;    // time of the current batch's latest event
-  Time next_epoch_ = std::numeric_limits<Time>::infinity();
-  std::uint32_t current_key_ = kNoKey;  // key of the executing serial event
-  bool in_flush_ = false;
 };
 
 }  // namespace mstc::sim

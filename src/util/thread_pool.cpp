@@ -50,23 +50,6 @@ void ThreadPool::wait_idle() {
   while (in_flight_ != 0) all_done_.wait(lock.native());
 }
 
-bool ThreadPool::try_run_one() {
-  std::function<void()> task;
-  {
-    const MutexLock lock(mutex_);
-    if (tasks_.empty()) return false;
-    task = std::move(tasks_.front());
-    tasks_.pop();
-  }
-  task();
-  {
-    const MutexLock lock(mutex_);
-    --in_flight_;
-    if (in_flight_ == 0) all_done_.notify_all();
-  }
-  return true;
-}
-
 void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> task;

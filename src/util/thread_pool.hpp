@@ -51,16 +51,9 @@ class ThreadPool {
   /// Deadlock hazard: a pool *worker* must never call wait_idle() — its own
   /// task is counted in the in-flight total, so the wait can never be
   /// satisfied. Code that needs to wait for sub-tasks from inside a worker
-  /// should use per-call completion state plus try_run_one() (the pattern
-  /// parallel_for_chunked implements) instead.
+  /// should use per-call completion state with caller participation (the
+  /// pattern parallel_for_chunked implements) instead.
   void wait_idle() MSTC_EXCLUDES(mutex_);
-
-  /// Pops one queued task, if any, and runs it on the calling thread.
-  /// Returns false without blocking when the queue is empty. This is the
-  /// cooperative-scheduling primitive for nested submission: a thread that
-  /// must wait for pool work can drain the queue itself instead of parking
-  /// a thread the queued work may need to make progress.
-  bool try_run_one() MSTC_EXCLUDES(mutex_);
 
  private:
   void worker_loop() MSTC_EXCLUDES(mutex_);
@@ -101,10 +94,10 @@ void parallel_for(ThreadPool& pool, std::size_t n,
 ///
 /// Nested-submission safe: the caller participates in its own chunk loop
 /// and waits on per-call completion state rather than wait_idle(), so a
-/// pool worker may issue a parallel_for over the same pool (replication
-/// task fanning out shard tasks). Even with every other worker busy the
-/// calling thread runs all chunks itself — helping run the call's queued
-/// work instead of deadlocking on its own in-flight task.
+/// pool worker may issue a parallel_for over the same pool. Even with
+/// every other worker busy the calling thread runs all chunks itself —
+/// helping run the call's queued work instead of deadlocking on its own
+/// in-flight task.
 void parallel_for_chunked(ThreadPool& pool, std::size_t n, std::size_t chunk,
                           const std::function<void(std::size_t)>& body);
 

@@ -95,8 +95,10 @@ TEST(Determinism, SerialRerunIsByteIdentical) {
       << "run_scenario is not a pure function of (config, seed)";
 }
 
-TEST(Determinism, PoolSizesOneTwoAndNMatchSerialByteForByte) {
-  const auto configs = representative_configs();
+// Sweeps `configs` through 1-, 2- and N-thread pools; each must
+// byte-match the plain serial loop.
+void expect_pool_sizes_match_serial(
+    const std::vector<ScenarioConfig>& configs) {
   const auto reference = bit_snapshot(serial_reference(configs, kRepeats));
 
   const std::size_t hardware = std::max<std::size_t>(
@@ -109,6 +111,22 @@ TEST(Determinism, PoolSizesOneTwoAndNMatchSerialByteForByte) {
         << "sweep through a " << threads
         << "-thread pool diverged from serial execution";
   }
+}
+
+TEST(Determinism, PoolSizesOneTwoAndNMatchSerialByteForByte) {
+  expect_pool_sizes_match_serial(representative_configs());
+}
+
+TEST(Determinism, FastSptFleetMatchesSerialAcrossPoolSizes) {
+  // Fast SPT-4 fleet: large, changing views through the single-source
+  // select and the per-thread selection scratch, refreshed on concurrent
+  // pool threads (the TSan job's view of that scratch).
+  ScenarioConfig fast = representative_configs().front();
+  fast.protocol = "SPT-4";
+  fast.average_speed = 160.0;
+  fast.mode = core::ConsistencyMode::kLatest;
+  fast.duration = 3.0;
+  expect_pool_sizes_match_serial({fast});
 }
 
 TEST(Determinism, GlobalPoolBatchMatchesSerial) {
@@ -316,9 +334,11 @@ TEST(Determinism, TraceCacheSharedMatchesPerReplication) {
   EXPECT_EQ(mobility::TraceCache::global().size(), kRepeats);
 
   ASSERT_EQ(setenv("MSTC_NO_TRACE_CACHE", "1", 1), 0);
-  const auto regenerated =
-      bit_snapshot(run_batch_raw(configs, kRepeats, pool));
+  auto hatched = configs;
+  for (auto& config : hatched) config = apply_env_overrides(config);
   ASSERT_EQ(unsetenv("MSTC_NO_TRACE_CACHE"), 0);
+  EXPECT_FALSE(hatched.front().trace_cache);
+  const auto regenerated = bit_snapshot(run_batch_raw(hatched, kRepeats, pool));
 
   ASSERT_EQ(shared, regenerated)
       << "trace-cache sharing changed simulation results";
@@ -348,67 +368,10 @@ TEST(Determinism, ChunkSizeOneSweepMatchesDefaultChunking) {
       << "chunk granularity changed sweep results";
 }
 
-TEST(Determinism, ShardedKernelMatchesSerialByteForByte) {
-  // The sharded event kernel (PR 8) partitions the fleet into x-axis
-  // strips and drains node-local events shard-parallel between
-  // conservative barriers. Sharding is pure scheduling: any shard count
-  // must byte-match the serial kernel, for mobile and static fleets, per
-  // replication. Divergence means an event was misclassified (a "local"
-  // handler touched shared state) or a barrier fired too late.
-  ScenarioConfig waypoint;
-  waypoint.protocol = "RNG";
-  waypoint.average_speed = 30.0;
-  waypoint.duration = 6.0;
-  waypoint.warmup = 1.5;
-  waypoint.seed = 246813579;
-
-  ScenarioConfig still = waypoint;
-  still.mobility_model = "static";
-  still.protocol = "MST";
-  still.mode = core::ConsistencyMode::kWeak;
-
-  // Fast SPT-4 fleet: large, changing views through the single-source
-  // select and the per-thread selection scratch, on the pool threads that
-  // drain the shard batches (the TSan job's view of that scratch).
-  ScenarioConfig fast = waypoint;
-  fast.protocol = "SPT-4";
-  fast.average_speed = 160.0;
-  fast.mode = core::ConsistencyMode::kLatest;
-
-  for (const auto& base : {waypoint, still, fast}) {
-    const auto reference = bit_snapshot(serial_reference({base}, kRepeats));
-    for (const std::size_t shards :
-         {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-      ScenarioConfig sharded = base;
-      sharded.shards = shards;
-      ASSERT_EQ(bit_snapshot(serial_reference({sharded}, kRepeats)),
-                reference)
-          << base.mobility_model << " " << base.protocol
-          << " fleet diverged at " << shards << " shards";
-    }
-
-    // Env path: MSTC_SHARDS is how sweeps and benches opt in.
-    ASSERT_EQ(setenv("MSTC_SHARDS", "3", 1), 0);
-    const ScenarioConfig env_sharded = apply_env_overrides(base);
-    EXPECT_EQ(env_sharded.shards, 3u);
-    const auto via_env =
-        bit_snapshot(serial_reference({env_sharded}, kRepeats));
-    // Escape hatch: MSTC_KERNEL_SERIAL=1 forces the serial kernel even
-    // with a shard count configured.
-    ASSERT_EQ(setenv("MSTC_KERNEL_SERIAL", "1", 1), 0);
-    const auto hatched =
-        bit_snapshot(serial_reference({env_sharded}, kRepeats));
-    ASSERT_EQ(unsetenv("MSTC_KERNEL_SERIAL"), 0);
-    ASSERT_EQ(unsetenv("MSTC_SHARDS"), 0);
-    ASSERT_EQ(via_env, reference);
-    ASSERT_EQ(hatched, reference);
-  }
-}
-
 TEST(Determinism, CalendarQueueMatchesHeapByteForByte) {
   // The calendar event queue (see sim/event_queue.hpp) orders events by
   // the same strict (time, sequence) total order the heap reference does,
-  // so every backend/shard combination must produce byte-identical stats.
+  // so both backends must produce byte-identical stats.
   // Divergence means the calendar popped out of order somewhere — a
   // bucket-boundary, overflow-ladder or resize bug.
   ScenarioConfig waypoint;
@@ -427,16 +390,10 @@ TEST(Determinism, CalendarQueueMatchesHeapByteForByte) {
     ScenarioConfig heap = base;
     heap.queue = "heap";
     const auto reference = bit_snapshot(serial_reference({heap}, kRepeats));
-    for (const std::size_t shards :
-         {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-      ScenarioConfig calendar = base;
-      calendar.queue = "calendar";
-      calendar.shards = shards;
-      ASSERT_EQ(bit_snapshot(serial_reference({calendar}, kRepeats)),
-                reference)
-          << base.mobility_model << " fleet diverged at " << shards
-          << " shards on the calendar queue";
-    }
+    ScenarioConfig calendar = base;
+    calendar.queue = "calendar";
+    ASSERT_EQ(bit_snapshot(serial_reference({calendar}, kRepeats)), reference)
+        << base.mobility_model << " fleet diverged on the calendar queue";
 
     // Escape hatch: MSTC_EVENT_QUEUE=heap overrides the config default.
     ASSERT_EQ(setenv("MSTC_EVENT_QUEUE", "heap", 1), 0);
@@ -446,20 +403,6 @@ TEST(Determinism, CalendarQueueMatchesHeapByteForByte) {
     ASSERT_EQ(unsetenv("MSTC_EVENT_QUEUE"), 0);
     ASSERT_EQ(via_env, reference);
   }
-}
-
-TEST(Determinism, ShardedReplicationsShareThePoolWithSweeps) {
-  // Shards and replications share one ThreadPool: a sweep task running a
-  // sharded replication re-enters the pool at every barrier drain
-  // (nested submission). The pool's caller-participates contract makes
-  // that deadlock-free, and results must still byte-match serial.
-  auto configs = representative_configs();
-  for (auto& config : configs) config.shards = 4;
-  const auto reference = bit_snapshot(serial_reference(configs, kRepeats));
-  util::ThreadPool pool(3);
-  const auto pooled = bit_snapshot(run_batch_raw(configs, kRepeats, pool));
-  ASSERT_EQ(pooled, reference)
-      << "sharded replications through a sweep pool diverged from serial";
 }
 
 TEST(Determinism, RepeatedParallelBatchesAreByteIdentical) {
@@ -475,8 +418,8 @@ TEST(Determinism, BatchedDeliveryMatchesUnbatchedByteForByte) {
   // Batched broadcast fan-out (this PR) turns one Hello into ONE queue
   // entry carrying the receiver span instead of one closure per receiver,
   // pre-assigning the exact (time, sequence) keys the per-receiver loop
-  // would have drawn. Pure storage optimization: every (config, shard)
-  // combination must byte-match the unbatched escape hatch.
+  // would have drawn. Pure storage optimization: every config must
+  // byte-match the unbatched escape hatch.
   ScenarioConfig waypoint;
   waypoint.protocol = "RNG";
   waypoint.average_speed = 30.0;
@@ -490,31 +433,22 @@ TEST(Determinism, BatchedDeliveryMatchesUnbatchedByteForByte) {
   still.mode = core::ConsistencyMode::kWeak;
 
   for (const auto& base : {waypoint, still}) {
-    for (const std::size_t shards :
-         {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-      ScenarioConfig config = base;
-      config.shards = shards;
-      const auto batched =
-          bit_snapshot(serial_reference({config}, kRepeats));
+    const auto batched = bit_snapshot(serial_reference({base}, kRepeats));
 
-      // Env hatch: MSTC_NO_BATCH_DELIVERY=1 restores the per-receiver
-      // schedule_local loop.
-      ASSERT_EQ(setenv("MSTC_NO_BATCH_DELIVERY", "1", 1), 0);
-      const ScenarioConfig hatched = apply_env_overrides(config);
-      EXPECT_FALSE(hatched.batch_delivery);
-      const auto unbatched =
-          bit_snapshot(serial_reference({hatched}, kRepeats));
-      ASSERT_EQ(unsetenv("MSTC_NO_BATCH_DELIVERY"), 0);
-      ASSERT_EQ(batched, unbatched)
-          << base.mobility_model << " fleet diverged at " << shards
-          << " shards with batched delivery";
+    // Env hatch: MSTC_NO_BATCH_DELIVERY=1 restores the per-receiver
+    // schedule_at loop.
+    ASSERT_EQ(setenv("MSTC_NO_BATCH_DELIVERY", "1", 1), 0);
+    const ScenarioConfig hatched = apply_env_overrides(base);
+    EXPECT_FALSE(hatched.batch_delivery);
+    const auto unbatched = bit_snapshot(serial_reference({hatched}, kRepeats));
+    ASSERT_EQ(unsetenv("MSTC_NO_BATCH_DELIVERY"), 0);
+    ASSERT_EQ(batched, unbatched)
+        << base.mobility_model << " fleet diverged with batched delivery";
 
-      // Belt and braces: the config-level switch takes the same path.
-      ScenarioConfig config_off = config;
-      config_off.batch_delivery = false;
-      ASSERT_EQ(bit_snapshot(serial_reference({config_off}, kRepeats)),
-                batched);
-    }
+    // Belt and braces: the config-level switch takes the same path.
+    ScenarioConfig config_off = base;
+    config_off.batch_delivery = false;
+    ASSERT_EQ(bit_snapshot(serial_reference({config_off}, kRepeats)), batched);
   }
 }
 
@@ -543,6 +477,31 @@ TEST(Determinism, ScalarFilterMatchesWideByteForByte) {
   auto config_off = configs;
   for (auto& config : config_off) config.scalar_filter = true;
   ASSERT_EQ(bit_snapshot(serial_reference(config_off, kRepeats)), wide);
+}
+
+TEST(Determinism, RunScenarioReadsOnlyItsConfig) {
+  // MSTC_* variables reach a scenario only through apply_env_overrides at
+  // the CLI/bench boundary. A config built in code must run exactly as
+  // written whatever the shell exports: even a backend name that would be
+  // rejected, had the scenario read it, leaves the run untouched.
+  const auto configs = representative_configs();
+  const auto run = [&configs] {
+    return bit_snapshot(serial_reference(configs, kRepeats));
+  };
+  const auto clean = run();
+
+  ASSERT_EQ(setenv("MSTC_EVENT_QUEUE", "bogus", 1), 0);
+  ASSERT_EQ(setenv("MSTC_FILTER_SCALAR", "1", 1), 0);
+  ASSERT_EQ(setenv("MSTC_NO_BATCH_DELIVERY", "1", 1), 0);
+  ASSERT_EQ(setenv("MSTC_NO_TRACE_CACHE", "1", 1), 0);
+  std::vector<std::uint64_t> exported;
+  EXPECT_NO_THROW(exported = run());
+  for (const char* name : {"MSTC_EVENT_QUEUE", "MSTC_FILTER_SCALAR",
+                           "MSTC_NO_BATCH_DELIVERY", "MSTC_NO_TRACE_CACHE"}) {
+    ASSERT_EQ(unsetenv(name), 0);
+  }
+  ASSERT_EQ(exported, clean)
+      << "the environment changed a run configured in code";
 }
 
 }  // namespace

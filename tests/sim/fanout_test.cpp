@@ -1,6 +1,6 @@
 // Batched broadcast fan-out: one schedule_fanout call must present each
 // delivery with exactly the (now, current_sequence, processed_events)
-// triple an equivalent per-receiver schedule_local loop would have, and
+// triple an equivalent per-receiver schedule_at loop would have, and
 // anything scheduled after the fan-out must order behind the whole span.
 #include <gtest/gtest.h>
 
@@ -27,7 +27,7 @@ std::vector<DeliveryObservation> observe_unbatched(
   std::vector<DeliveryObservation> log;
   simulator.schedule_at(1.0, [&] {
     for (std::uint32_t v : receivers) {
-      simulator.schedule_local(2.0, v, [&, v] {
+      simulator.schedule_at(2.0, [&, v] {
         log.push_back({v, simulator.now(), simulator.current_sequence(),
                        simulator.processed_events()});
       });
@@ -74,7 +74,7 @@ TEST(Fanout, LaterScheduleDrawsSequenceAfterWholeSpan) {
         });
       } else {
         for (std::uint32_t v : receivers) {
-          simulator.schedule_local(2.0, v, [&, v] { order.push_back(v); });
+          simulator.schedule_at(2.0, [&, v] { order.push_back(v); });
         }
       }
       simulator.schedule_at(2.0, [&] { order.push_back(100); });

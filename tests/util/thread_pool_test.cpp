@@ -5,7 +5,6 @@
 #include <array>
 #include <atomic>
 #include <numeric>
-#include <thread>
 #include <vector>
 
 namespace mstc::util {
@@ -109,41 +108,13 @@ TEST(ParallelForChunked, ChunkSizeDoesNotChangeSlotResults) {
   }
 }
 
-TEST(ThreadPool, TryRunOneDrainsQueueFromCaller) {
-  ThreadPool pool(2);
-  // Park both workers so the tasks submitted next stay queued; wait until
-  // the workers have actually claimed the parking tasks, or try_run_one
-  // below could claim one itself and spin on a flag this thread sets later.
-  std::atomic<bool> release{false};
-  std::atomic<int> parked{0};
-  for (int w = 0; w < 2; ++w) {
-    pool.submit([&release, &parked] {
-      parked.fetch_add(1);
-      while (!release.load()) std::this_thread::yield();
-    });
-  }
-  while (parked.load() < 2) std::this_thread::yield();
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 5; ++i) {
-    pool.submit([&counter] { counter.fetch_add(1); });
-  }
-  // The calling thread runs the queued work itself.
-  while (pool.try_run_one()) {
-  }
-  EXPECT_EQ(counter.load(), 5);
-  release.store(true);
-  pool.wait_idle();
-  EXPECT_FALSE(pool.try_run_one());
-}
-
 TEST(ParallelForChunked, NestedSubmissionDoesNotDeadlock) {
-  // Regression test for the sharded-kernel pattern: a replication task
-  // running *on* the pool fans a parallel_for over the same pool. With the
-  // old wait_idle()-based implementation every outer task counted itself
-  // in the in-flight total, so any nested wait deadlocked; the
-  // caller-participating rewrite must finish even when outer tasks occupy
-  // every worker. TSan (the concurrency label) checks the completion
-  // handshake while it runs.
+  // A task running *on* the pool fans a parallel_for over the same pool.
+  // With the old wait_idle()-based implementation every outer task
+  // counted itself in the in-flight total, so any nested wait deadlocked;
+  // the caller-participating rewrite must finish even when outer tasks
+  // occupy every worker. TSan (the concurrency label) checks the
+  // completion handshake while it runs.
   ThreadPool pool(4);
   constexpr std::size_t kOuter = 8;  // > workers: some outer tasks queue
   constexpr std::size_t kInner = 64;

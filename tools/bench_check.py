@@ -28,9 +28,7 @@ separating what must match exactly from what only a machine can change:
                           must keep large-fleet events/s at a healthy
                           fraction of small-fleet events/s; both sides
                           come from one file, so the guard runs on any
-                          machine. Speedup gates that DO need real cores
-                          announce their bypass instead of skipping
-                          silently.
+                          machine.
 
 Also supports --self FILE: schema / internal-invariant checks on a single
 bench JSON (used by the `bench_check_baselines` ctest to keep the
@@ -275,12 +273,6 @@ def self_snapshot(data: dict) -> None:
 
 # --- bench_parallel --------------------------------------------------------
 
-# Minimum cores for speedup gating: below this the machine cannot express
-# shard parallelism and the serial/sharded wall ratio is pure noise.
-PARALLEL_MIN_CORES = 4
-# Absolute speedup floor on capable machines for large fleets.
-PARALLEL_SPEEDUP_FLOOR = 2.5
-PARALLEL_SPEEDUP_FLOOR_NODES = 10000
 # Scaling-slope guard: serial (calendar-queue) events/s at the largest
 # fleet may not fall below this fraction of the small-fleet rate. The
 # heap queue's log-factor put the measured ratio near 0.24; the calendar
@@ -320,26 +312,13 @@ def compare_parallel(fresh: dict, base: dict, args) -> None:
     base_rows = index_rows(base.get("results", []), "label")
     shared = sorted(set(fresh_rows) & set(base_rows))
     check(bool(shared), "bench_parallel: no common row labels to compare")
-    fresh_cores = fresh.get("config", {}).get("cores", 0)
-    base_cores = base.get("config", {}).get("cores", 0)
-    gate_speedup = (fresh_cores >= PARALLEL_MIN_CORES
-                    and base_cores >= PARALLEL_MIN_CORES)
-    if not gate_speedup:
-        # Loud bypass, not a silent skip: a laptop-class runner should say
-        # so instead of green-lighting a parallelism regression.
-        print(f"bench_parallel: speedup gates BYPASSED — fresh machine has "
-              f"{fresh_cores} cores, baseline had {base_cores} "
-              f"(both must have >= {PARALLEL_MIN_CORES} to gate the "
-              "serial/sharded wall ratio)")
     for label in shared:
         fr, br = fresh_rows[label], base_rows[label]
         check(fr.get("results_identical") is True,
-              f"parallel[{label}]: queue / sharded arms diverged from the "
-              "heap reference (results_identical false)")
+              f"parallel[{label}]: calendar arm diverged from the heap "
+              "reference (results_identical false)")
         # Event counts are pure functions of (config, seed) — per arm.
-        # (The sharded arm legitimately differs from the serial ones: the
-        # sharded kernel adds one deferred-refresh event per Hello.)
-        for arm in ("serial_heap", "serial", "sharded"):
+        for arm in ("serial_heap", "serial"):
             if arm not in fr or arm not in br:
                 continue  # pre-queue baseline without serial_heap
             check(fr[arm]["events"] == br[arm]["events"],
@@ -355,50 +334,14 @@ def compare_parallel(fresh: dict, base: dict, args) -> None:
                   f"{fr['serial']['events']} events vs heap's "
                   f"{fr['serial_heap']['events']} — queue backend changed "
                   "the schedule")
-        # Barrier schedule and cross-shard traffic are deterministic too
-        # (shard resolution depends on geometry, never on the machine).
-        check(fr["sharded"]["kernel_barriers"] ==
-              br["sharded"]["kernel_barriers"],
-              f"parallel[{label}]: kernel_barriers changed "
-              f"{br['sharded']['kernel_barriers']} -> "
-              f"{fr['sharded']['kernel_barriers']}")
-        check(abs(fr["sharded"]["cross_shard_share"] -
-                  br["sharded"]["cross_shard_share"]) <= 1e-3,
-              f"parallel[{label}]: cross_shard_share changed "
-              f"{br['sharded']['cross_shard_share']:.4f} -> "
-              f"{fr['sharded']['cross_shard_share']:.4f}")
         # Calendar-vs-heap wall ratio cancels the machine (both arms run
-        # serial on the same box), so it gates on any core count.
+        # on the same thread of the same box), so it gates on any core
+        # count.
         if "queue_speedup" in fr and "queue_speedup" in br:
             check_ratio(f"parallel[{label}]: queue_speedup",
                         fr["queue_speedup"], br["queue_speedup"],
                         args.tolerance, br["serial_heap"]["wall_s"],
                         args.min_wall)
-        # Sharded speedup is machine-bound: regression-gate it only when
-        # both machines could express parallelism at all, AND the arm's
-        # recorded worker threads show it actually ran in parallel — a
-        # row measured at threads == 1 is a serial run wearing a sharded
-        # label, and its speedup is noise whatever the core count says.
-        fresh_threads = fr.get("sharded", {}).get("threads", 0)
-        if gate_speedup and fresh_threads <= 1:
-            print(f"bench_parallel[{label}]: speedup gate REFUSED — the "
-                  f"sharded arm recorded {fresh_threads} worker thread(s); "
-                  "the run never expressed parallelism, so its speedup "
-                  "cannot be gated")
-        if gate_speedup and fresh_threads > 1:
-            check_ratio(f"parallel[{label}]: speedup", fr["speedup"],
-                        br["speedup"], args.tolerance,
-                        br["serial"]["wall_s"], args.min_wall)
-        # Absolute floor on capable machines: large fleets must show the
-        # sharded kernel actually paying off.
-        if (fresh_cores >= PARALLEL_MIN_CORES
-                and fresh_threads > 1
-                and fr.get("nodes", 0) >= PARALLEL_SPEEDUP_FLOOR_NODES
-                and fr["serial"]["wall_s"] >= args.min_wall):
-            check(fr["speedup"] >= PARALLEL_SPEEDUP_FLOOR,
-                  f"parallel[{label}]: speedup {fr['speedup']:.2f} below "
-                  f"the {PARALLEL_SPEEDUP_FLOOR}x floor on a "
-                  f"{fresh_cores}-core machine")
     parallel_scaling_guard(fresh, "fresh")
 
 
@@ -412,27 +355,15 @@ def self_parallel(data: dict) -> None:
         label = row.get("label", "?")
         check(row.get("results_identical") is True,
               f"parallel[{label}]: results_identical is not true")
-        for arm in ("serial_heap", "serial", "sharded"):
+        for arm in ("serial_heap", "serial"):
             check(arm in row, f"parallel[{label}]: missing '{arm}'")
             if arm in row:
                 check(row[arm].get("events", 0) > 0,
                       f"parallel[{label}].{arm}: zero events")
-                check(row[arm].get("threads", 0) > 0,
-                      f"parallel[{label}].{arm}: zero threads recorded")
-                check(row[arm].get("shards", 0) > 0,
-                      f"parallel[{label}].{arm}: zero shards recorded")
         check(row.get("serial_heap", {}).get("queue") == "heap",
               f"parallel[{label}]: serial_heap arm not on the heap queue")
         check(row.get("serial", {}).get("queue") == "calendar",
               f"parallel[{label}]: serial arm not on the calendar queue")
-        if "sharded" in row:
-            check(row["sharded"].get("kernel_barriers", 0) > 0,
-                  f"parallel[{label}]: sharded arm never engaged "
-                  "(zero kernel_barriers)")
-        if "serial" in row and "sharded" in row:
-            check(row["sharded"]["events"] >= row["serial"]["events"],
-                  f"parallel[{label}]: sharded arm processed fewer events "
-                  "than serial (deferred refreshes missing)")
         if "serial" in row and "serial_heap" in row:
             check(row["serial"]["events"] == row["serial_heap"]["events"],
                   f"parallel[{label}]: heap and calendar arms processed "

@@ -5,12 +5,12 @@
 
 struct Sim {
   template <typename F>
-  void schedule_local(double at, std::size_t key, F&& handler);
+  void schedule_at(double at, F&& handler);
 };
 
 void broadcast(Sim& simulator, double at,
                const std::vector<std::size_t>& receiver_buffer) {
   for (std::size_t v : receiver_buffer) {
-    simulator.schedule_local(at, v, [v] { (void)v; });
+    simulator.schedule_at(at, [v] { (void)v; });
   }
 }

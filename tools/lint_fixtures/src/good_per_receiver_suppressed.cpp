@@ -5,7 +5,7 @@
 
 struct Sim {
   template <typename F>
-  void schedule_serial(double at, std::size_t key, F&& handler);
+  void schedule_in(double delay, F&& handler);
   template <typename F>
   void schedule_fanout(double at, const std::vector<std::size_t>& receivers,
                        F&& handler);
@@ -13,12 +13,12 @@ struct Sim {
 
 double backoff(std::size_t v);
 
-void forward(Sim& simulator, double now,
+void forward(Sim& simulator,
              const std::vector<std::size_t>& forward_targets) {
   // Each forward draws its own backoff: per-receiver times differ.
   // mstc-lint: allow(per-receiver-schedule)
   for (std::size_t v : forward_targets) {
-    simulator.schedule_serial(now + backoff(v), v, [v] { (void)v; });
+    simulator.schedule_in(backoff(v), [v] { (void)v; });
   }
 }
 

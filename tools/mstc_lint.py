@@ -35,6 +35,18 @@ those invariants (see docs/DEVELOPMENT.md):
                         brute-force baselines carry a suppression with a
                         justification. The spatial-grid implementation
                         itself is exempt by path.
+  per-receiver-schedule a loop over a receiver set scheduling one
+                        simulator event per receiver in library code;
+                        broadcast deliveries belong in one batched
+                        Simulator::schedule_fanout event.
+  env-read              util::env_or / env_flag calls in library code
+                        outside src/runner/config.cpp (the scenario
+                        layer's one MSTC_* reader, apply_env_overrides),
+                        src/util/thread_pool.cpp (pool sizing) and
+                        src/util/options.* (the helpers themselves). A run
+                        must depend on its ScenarioConfig alone, so the
+                        environment is read once, at the CLI/bench
+                        boundary.
 
 Two former rules — `unordered-iteration` and `hot-path-std-function` —
 moved to tools/mstc_tidy.py, which matches them structurally (declared
@@ -102,6 +114,12 @@ RULES = {
         "per-receiver timing (randomized backoffs, differential "
         "baselines) with a justification"
     ),
+    "env-read": (
+        "environment read in library code outside src/runner/config.cpp, "
+        "src/util/thread_pool.cpp and src/util/options.*: MSTC_* inputs "
+        "reach a scenario only through runner::apply_env_overrides, so a "
+        "run depends on its ScenarioConfig alone"
+    ),
 }
 
 RAW_RANDOM_RE = re.compile(
@@ -140,8 +158,10 @@ ALL_PAIRS_LOOKAHEAD = 7
 # itself is deliberately absent from the call pattern — routing the loop
 # through the batched API is the fix.
 RECEIVER_LOOP_RE = re.compile(r"\bfor\s*\([^)]*(?:receiver|target)")
-SCHEDULE_CALL_RE = re.compile(r"\bschedule_(?:serial|local|at|in)\s*\(")
+SCHEDULE_CALL_RE = re.compile(r"\bschedule_(?:at|in)\s*\(")
 PER_RECEIVER_LOOKAHEAD = 10
+
+ENV_READ_RE = re.compile(r"\benv_(?:or|flag)\s*\(")
 
 
 def strip_comments_and_strings(text: str) -> str:
@@ -224,6 +244,16 @@ def is_clock_unit(path: Path) -> bool:
         path.name == "rusage.cpp" and "util" in path.parts)
 
 
+def is_env_unit(path: Path) -> bool:
+    """The library files allowed to read MSTC_* variables: the scenario
+    config boundary (src/runner/config.cpp), the pool's sizing knobs
+    (src/util/thread_pool.cpp) and the helpers' own definitions
+    (src/util/options.*)."""
+    return (path.name == "config.cpp" and "runner" in path.parts) or (
+        "util" in path.parts
+        and path.name in ("thread_pool.cpp", "options.hpp", "options.cpp"))
+
+
 def is_spatial_index_unit(path: Path) -> bool:
     """The spatial grid is the sanctioned replacement for all-pairs scans;
     its own cell-walk loops are exempt from the all-pairs rule."""
@@ -259,6 +289,10 @@ def lint_file(path: Path) -> list[Finding]:
         if (is_library_code(path) and not is_clock_unit(path)
                 and WALL_CLOCK_RE.search(line)):
             report(index, "wall-clock")
+
+        if (is_library_code(path) and not is_env_unit(path)
+                and ENV_READ_RE.search(line)):
+            report(index, "env-read")
 
         # all-pairs-scan: an index for-loop nested directly inside another
         # (the enclosing line must leave its block open, i.e. end with '{',

@@ -24,6 +24,8 @@ EXPECTATIONS = {
     "src/bad_all_pairs.cpp": {"all-pairs-scan"},
     "src/bad_per_receiver_schedule.cpp": {"per-receiver-schedule"},
     "src/good_per_receiver_suppressed.cpp": set(),
+    "src/bad_env_read.cpp": {"env-read"},
+    "src/good_env_read_suppressed.cpp": set(),
     "src/good_all_pairs_suppressed.cpp": set(),
     "src/good_clean.cpp": set(),
     "src/good_suppressed.cpp": set(),
@@ -72,7 +74,8 @@ def main() -> int:
     if result.returncode != 0:
         failures.append("--list-rules exited nonzero")
     for rule in ("raw-random", "parallel-float-reduce", "iostream-in-lib",
-                 "wall-clock", "all-pairs-scan", "per-receiver-schedule"):
+                 "wall-clock", "all-pairs-scan", "per-receiver-schedule",
+                 "env-read"):
         if rule not in result.stdout:
             failures.append(f"--list-rules missing '{rule}'")
 
