@@ -1,103 +1,9 @@
 #include "core/consistency.hpp"
 
-#include <algorithm>
 #include <cassert>
-#include <limits>
 #include <stdexcept>
 
 namespace mstc::core {
-
-namespace {
-
-/// Conservative squared-distance rejection threshold for the pre-filter
-/// below. fl(dx*dx + dy*dy) carries at most ~3 ulp (~7e-16) relative error
-/// and std::hypot at most a few ulps, so the 1e-12 relative margin exceeds
-/// the combined rounding error by three orders of magnitude: any pair with
-/// fl(d^2) > normal_range^2 * (1 + 1e-12) certainly has
-/// hypot(dx, dy) > normal_range, i.e. the exact predicate below would have
-/// rejected it too (proof sketch in docs/PERFORMANCE.md). Pairs inside the
-/// margin fall through to the exact check, so results are byte-identical.
-constexpr double kRejectMargin = 1.0 + 1e-12;
-
-/// Assembles a ViewGraph from one chosen position list per view member
-/// (owner first). Owner-neighbor links always exist (the neighbor was
-/// heard); neighbor-neighbor links exist only when their viewed distance
-/// can be certified <= normal_range (max over version combinations).
-///
-/// Reads only the `.position` of each record — together with the member
-/// ids this makes the assembled view (and, by protocol purity, the
-/// selection) an exact function of (ids, position bits, normal_range,
-/// cost). That is why LocalViewStore::generation() tracks nothing else,
-/// and why the controller's recompute cache can key on it.
-// mstc:hot — runs once per selection refresh over ~density members
-void assemble(
-    NodeId owner, std::span<const NodeId> ids,
-    std::span<const std::span<const topology::VersionedPosition>> versions,
-    double normal_range, const topology::CostModel& cost,
-    topology::ViewGraph& out) {
-  assert(!ids.empty() && ids[0] == owner);
-  out.reset(owner, ids.size() - 1);
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    out.set_id(i, ids[i]);
-    // Representative: the newest stored position (front).
-    out.set_representative(i, versions[i].front().position);
-  }
-  const double reject_sq = normal_range * normal_range * kRejectMargin;
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    const bool single_i = versions[i].size() == 1;
-    for (std::size_t j = i + 1; j < ids.size(); ++j) {
-      if (single_i && versions[j].size() == 1) {
-        // Point-view fast path (latest / versioned views): one version per
-        // member means d_min == d_max, so the distance, the cost-model call
-        // and the CostKey are each computed once — bit-identical to the
-        // general loop, which would evaluate them twice on equal inputs.
-        const geom::Vec2 a = versions[i].front().position;
-        const geom::Vec2 b = versions[j].front().position;
-        // Squared-distance pre-filter: skips the libm hypot for the
-        // ~40% of neighbor-neighbor pairs that are certainly out of
-        // range (see kRejectMargin). Never applied to the owner row —
-        // owner-neighbor links exist regardless of distance.
-        if (i != 0 && geom::distance_sq(a, b) > reject_sq) continue;
-        const double d = geom::distance(a, b);
-        if (i != 0 && d > normal_range) continue;
-        const topology::CostKey key =
-            topology::CostKey::make(cost.cost(d), ids[i], ids[j]);
-        out.set_link(i, j, d, d, key, key);
-        continue;
-      }
-      // Interval views (weak consistency): pre-filter on the cheap
-      // squared distances first; only combinations that might be in
-      // range pay for the exact hypot sweep.
-      if (i != 0) {
-        double max_sq = 0.0;
-        for (const auto& a : versions[i]) {
-          for (const auto& b : versions[j]) {
-            max_sq =
-                std::max(max_sq, geom::distance_sq(a.position, b.position));
-          }
-        }
-        if (max_sq > reject_sq) continue;
-      }
-      double d_min = std::numeric_limits<double>::infinity();
-      double d_max = 0.0;
-      for (const auto& a : versions[i]) {
-        for (const auto& b : versions[j]) {
-          const double d = geom::distance(a.position, b.position);
-          d_min = std::min(d_min, d);
-          d_max = std::max(d_max, d);
-        }
-      }
-      // Owner-neighbor links exist by virtue of the received Hello;
-      // neighbor-neighbor links must certainly be within range.
-      if (i != 0 && d_max > normal_range) continue;
-      out.set_link(i, j, d_min, d_max,
-                   topology::CostKey::make(cost.cost(d_min), ids[i], ids[j]),
-                   topology::CostKey::make(cost.cost(d_max), ids[i], ids[j]));
-    }
-  }
-}
-
-}  // namespace
 
 std::string_view to_string(ConsistencyMode mode) {
   switch (mode) {
@@ -124,6 +30,15 @@ ConsistencyMode consistency_mode_from(std::string_view name) {
   throw std::invalid_argument("unknown consistency mode: " + std::string(name));
 }
 
+// The builders only choose one position list per view member (owner
+// first) and hand them to ViewGraph::assign, which defers every
+// neighbor-neighbor pair to its first read. The view reads only the
+// `.position` of each record — together with the member ids this makes
+// the view (and, by protocol purity, the selection) an exact function of
+// (ids, position bits, normal_range, cost). That is why
+// LocalViewStore::generation() tracks nothing else, and why the
+// controller's recompute cache can key on it.
+
 // mstc:hot — per-refresh builder; the caller owns scratch and out
 void build_latest_view(const LocalViewStore& store, double normal_range,
                        const topology::CostModel& cost, ViewScratch& scratch,
@@ -142,8 +57,7 @@ void build_latest_view(const LocalViewStore& store, double normal_range,
     scratch.versions.push_back(
         std::span<const topology::VersionedPosition>(entry.history.data(), 1));
   }
-  assemble(store.owner(), scratch.ids, scratch.versions, normal_range, cost,
-           out);
+  out.assign(scratch.ids, scratch.versions, normal_range, cost);
 }
 
 topology::ViewGraph build_latest_view(const LocalViewStore& store,
@@ -178,8 +92,7 @@ bool build_versioned_view(const LocalViewStore& store, std::uint64_t version,
       }
     }
   }
-  assemble(store.owner(), scratch.ids, scratch.versions, normal_range, cost,
-           out);
+  out.assign(scratch.ids, scratch.versions, normal_range, cost);
   return true;
 }
 
@@ -212,8 +125,7 @@ void build_weak_view(const LocalViewStore& store, double normal_range,
     scratch.versions.push_back(std::span<const topology::VersionedPosition>(
         entry.history.data(), entry.history.size()));
   }
-  assemble(store.owner(), scratch.ids, scratch.versions, normal_range, cost,
-           out);
+  out.assign(scratch.ids, scratch.versions, normal_range, cost);
 }
 
 topology::ViewGraph build_weak_view(const LocalViewStore& store,

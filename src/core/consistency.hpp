@@ -37,6 +37,10 @@ enum class ConsistencyMode { kLatest, kViewSync, kProactive, kReactive, kWeak };
 /// borrow the store's internal record vectors, so a ViewScratch is only
 /// meaningful during one build; after the warmup neighborhood has been
 /// seen, rebuilding a view through the same scratch allocates nothing.
+///
+/// Every builder hands its chosen positions to ViewGraph::assign: the view
+/// copies them and evaluates each neighbor-neighbor link on its first
+/// read, so a built view outlives the store but not `cost`.
 struct ViewScratch {
   std::vector<NodeId> ids;
   std::vector<std::span<const topology::VersionedPosition>> versions;

@@ -10,10 +10,12 @@ namespace {
 /// view and the protocol's output. One per thread, shared by every
 /// controller that thread refreshes, so a replication keeps one hot view
 /// instead of one cold n^2 view per node. Sharing is sound because no
-/// state survives a refresh: ViewGraph::reset clears every link flag and
-/// every non-owner read is guarded by has_link, the builders clear their
-/// ids, select clears its output, and a refresh never re-enters another
-/// refresh or the thread pool.
+/// state survives a refresh: ViewGraph::assign defers every pair, and
+/// every accessor resolves a pair before it reads it; the builders clear
+/// their ids, select clears its output, and a refresh never re-enters
+/// another refresh or the thread pool. One thread reads the view at a
+/// time (the Protocol scratch contract), and the controller's CostModel
+/// outlives the refresh that reads it.
 struct SelectionScratch {
   ViewScratch builders;
   topology::ViewGraph view;
@@ -161,6 +163,8 @@ void NodeController::apply_selection(const topology::ViewGraph& view,
 
   if (observing) {
     probe_->count_node(obs::Counter::kTopologyRecomputes, id_);
+    probe_->count_node(obs::Counter::kViewLinksEvaluated, id_,
+                       view.links_evaluated());
     probe_->trace(obs::EventKind::kTopologyRecompute, now, id_, actual_range_,
                   logical_.size());
     // Logical neighbors present before the recompute but absent after:

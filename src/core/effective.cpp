@@ -7,7 +7,7 @@ namespace mstc::core {
 bool can_deliver(const NodeController& from, const NodeController& to,
                  double distance) {
   if (distance > from.extended_range()) return false;
-  return to.config().accept_physical_neighbors || from.is_logical(to.id());
+  return accepts(from, to);
 }
 
 graph::Graph effective_snapshot(std::span<const NodeController> controllers,
@@ -26,10 +26,9 @@ graph::Graph effective_snapshot(std::span<const NodeController> controllers,
       [&](std::size_t u, const std::vector<std::size_t>& cand) {
         for (const std::size_t v : cand) {
           if (v <= u) continue;
-          const double d = geom::distance(positions[u], positions[v]);
-          if (can_deliver(controllers[u], controllers[v], d) &&
-              can_deliver(controllers[v], controllers[u], d)) {
-            g.add_edge(u, v, d);
+          if (const std::optional<double> d = effective_link(
+                  controllers[u], controllers[v], positions[u], positions[v])) {
+            g.add_edge(u, v, *d);
           }
         }
       });

@@ -19,6 +19,7 @@
 #include <algorithm>
 #include <limits>
 #include <numeric>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -40,6 +41,27 @@ namespace mstc::core {
 /// active at the *receiver* side (the receiver decides whether to drop).
 [[nodiscard]] bool can_deliver(const NodeController& from,
                                const NodeController& to, double distance);
+
+/// The distance-free half of can_deliver: `to` takes `from`'s packets when
+/// it is logical at `from` or runs the physical-neighbor enhancement.
+[[nodiscard]] inline bool accepts(const NodeController& from,
+                                  const NodeController& to) {
+  return to.config().accept_physical_neighbors || from.is_logical(to.id());
+}
+
+/// The effective link between u (at `pu`) and v (at `pv`): its length
+/// d = geom::distance(pu, pv) when can_deliver(u, v, d) &&
+/// can_deliver(v, u, d), nullopt otherwise. The same conjunction with the
+/// membership tests first, each predicate evaluated once, so the distance
+/// is computed only for pairs both ends accept.
+[[nodiscard]] inline std::optional<double> effective_link(
+    const NodeController& u, const NodeController& v, geom::Vec2 pu,
+    geom::Vec2 pv) {
+  if (!accepts(u, v) || !accepts(v, u)) return std::nullopt;
+  const double d = geom::distance(pu, pv);
+  if (d > u.extended_range() || d > v.extended_range()) return std::nullopt;
+  return d;
+}
 
 /// Fleets below this size stay on the brute-force scan in
 /// effective_snapshot (grid build overhead dominates under the crossover;

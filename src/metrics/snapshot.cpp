@@ -80,11 +80,11 @@ SnapshotStats measure_snapshot(std::span<const core::NodeController> controllers
 
   // One pass over the candidate sets covers both range-based metrics: the
   // physical-degree count re-applies the exact distance_sq predicate, and
-  // the link checks re-apply the exact can_deliver predicate (both-ends)
-  // feeding the union-find. Candidate sets are ascending supersets of
-  // everything either predicate can accept (core/effective.hpp), so both
-  // integers — and the evaluation order of every double — match the
-  // brute-force scan exactly.
+  // the link checks re-apply the exact both-ends can_deliver conjunction
+  // (core::effective_link, membership first) feeding the union-find.
+  // Candidate sets are ascending supersets of everything either predicate
+  // can accept (core/effective.hpp), so both integers — and the evaluation
+  // order of every double — match the brute-force scan exactly.
   scratch.components_.reset(n);
   graph::SpatialGrid* grid =
       (!config.brute_force && n >= config.grid_min_nodes) ? &scratch.grid_
@@ -124,9 +124,8 @@ SnapshotStats measure_snapshot(std::span<const core::NodeController> controllers
         for (const std::size_t v : candidates) {
           if (v <= u) continue;
           ++links_examined;
-          const double d = geom::distance(positions[u], positions[v]);
-          if (core::can_deliver(controllers[u], controllers[v], d) &&
-              core::can_deliver(controllers[v], controllers[u], d)) {
+          if (core::effective_link(controllers[u], controllers[v],
+                                   positions[u], positions[v])) {
             scratch.components_.unite(u, v);
           }
         }

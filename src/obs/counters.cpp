@@ -18,6 +18,8 @@ const char* counter_name(Counter counter) noexcept {
       return "topology_recomputes";
     case Counter::kTopologyRecomputeSkips:
       return "topology_recompute_skips";
+    case Counter::kViewLinksEvaluated:
+      return "view_links_evaluated";
     case Counter::kLinkRemovals:
       return "link_removals";
     case Counter::kBufferZoneExpansions:

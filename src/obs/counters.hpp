@@ -28,6 +28,7 @@ enum class Counter : std::size_t {
   kViewSyncs,             ///< logical-selection refreshes requested
   kTopologyRecomputes,    ///< protocol selections actually applied
   kTopologyRecomputeSkips,  ///< refreshes skipped by the recompute cache
+  kViewLinksEvaluated,    ///< view pairs a recompute evaluated (owner row too)
   kLinkRemovals,          ///< logical neighbors dropped by a recompute
   kBufferZoneExpansions,  ///< recomputes that grew the extended range
   kSyncFloodForwards,     ///< reactive synchronization-flood forwards

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <memory>
 #include <numbers>
 #include <optional>
 #include <stdexcept>
+#include <string>
 
 #include "core/effective.hpp"
 #include "mac/channel.hpp"
@@ -49,6 +51,15 @@ std::unique_ptr<mobility::MobilityModel> make_mobility(
                                                    cfg.average_speed, 0.8);
   }
   throw std::invalid_argument("unknown mobility model: " + cfg.mobility_model);
+}
+
+/// True for "csma" (carrier sensing + collision loss; the paper's
+/// future-work realistic MAC), false for "ideal" (the paper's
+/// collision-free MAC); any other name is a configuration error.
+bool uses_csma(const std::string& mac) {
+  if (mac == "csma") return true;
+  if (mac == "ideal") return false;
+  throw std::invalid_argument("unknown MAC: " + mac);
 }
 
 /// Obtains the replication's immutable trace set — from the process-wide
@@ -171,12 +182,10 @@ class Scenario {
         64);
     last_hello_version_.assign(cfg.node_count, 0);
 
-    if (cfg.mac == "csma") {
+    if (uses_csma(cfg.mac)) {
       channel_ = std::make_unique<mac::ContentionChannel>(
           simulator_, medium_, mac::ContentionChannel::Config{},
           util::derive_seed(cfg.seed, 0x3AC));
-    } else if (cfg.mac != "ideal") {
-      throw std::invalid_argument("unknown MAC: " + cfg.mac);
     }
   }
 
@@ -575,12 +584,50 @@ class Scenario {
 
 }  // namespace
 
+void validate(const ScenarioConfig& config) {
+  const auto reject = [](const char* field, const std::string& why) {
+    throw std::invalid_argument(std::string("ScenarioConfig.") + field +
+                                ": " + why);
+  };
+  if (config.node_count == 0) reject("node_count", "the fleet is empty");
+  const auto positive = [&](const char* field, double value) {
+    if (!(std::isfinite(value) && value > 0.0)) {
+      reject(field, "must be finite and > 0, got " + std::to_string(value));
+    }
+  };
+  positive("normal_range", config.normal_range);
+  // A Hello period that is not positive (a zero interval, or a jitter of 1
+  // or more) reschedules a beacon at or before its own instant, so the
+  // run would never end.
+  positive("hello_interval", config.hello_interval);
+  if (!(config.hello_jitter >= 0.0 && config.hello_jitter < 1.0)) {
+    reject("hello_jitter",
+           "must lie in [0, 1), got " + std::to_string(config.hello_jitter));
+  }
+  // Names go through the parsers the scenario itself uses, so each name
+  // list stays in one place.
+  const auto parses = [&](const char* field, const auto& parse) {
+    try {
+      parse();
+    } catch (const std::invalid_argument& error) {
+      reject(field, error.what());
+    }
+  };
+  parses("mac", [&] { (void)uses_csma(config.mac); });
+  parses("mobility_model", [&] { (void)make_mobility(config); });
+  if (!sim::parse_queue_backend(config.queue).has_value()) {
+    reject("queue", "unknown event queue backend: " + config.queue);
+  }
+  parses("protocol", [&] { (void)topology::make_protocol(config.protocol); });
+}
+
 metrics::RunStats run_scenario(const ScenarioConfig& config) {
   return run_scenario(config, nullptr);
 }
 
 metrics::RunStats run_scenario(const ScenarioConfig& config,
                                obs::RunObservation* observation) {
+  validate(config);
   const obs::Probe probe(observation);
   std::optional<Scenario> scenario;
   {

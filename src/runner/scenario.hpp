@@ -14,7 +14,16 @@
 
 namespace mstc::runner {
 
+/// Rejects a configuration no scenario can run, with a
+/// std::invalid_argument naming the field: an empty fleet, a normal range
+/// or Hello interval that is not finite and positive, a Hello jitter
+/// outside [0, 1), or an unknown mac, mobility_model, queue or protocol
+/// name. run_scenario calls it first, so every CLI, bench and sweep is
+/// checked at the same boundary.
+void validate(const ScenarioConfig& config);
+
 /// Runs one scenario to completion; deterministic in (config, config.seed).
+/// Throws std::invalid_argument for a config validate() rejects.
 [[nodiscard]] metrics::RunStats run_scenario(const ScenarioConfig& config);
 
 /// Same, recording counters, trace events, histograms and wall-clock

@@ -13,8 +13,10 @@ void RngProtocol::select(const ViewGraph& view,
     bool removed = false;
     for (std::size_t w = 1; w < n && !removed; ++w) {
       if (w == v) continue;
-      if (!view.has_link(0, w) || !view.has_link(w, v)) continue;
-      removed = direct > view.cost_max(0, w) && direct > view.cost_max(w, v);
+      // Owner-row test first: the (w, v) link is evaluated on first read
+      // (ViewGraph::assign), and most witnesses fail here without it.
+      if (!view.has_link(0, w) || !(direct > view.cost_max(0, w))) continue;
+      removed = view.has_link(w, v) && direct > view.cost_max(w, v);
     }
     if (!removed) out.push_back(v);
   }
@@ -35,9 +37,10 @@ void GabrielProtocol::select(const ViewGraph& view,
     bool removed = false;
     for (std::size_t w = 1; w < n && !removed; ++w) {
       if (w == v) continue;
-      if (!view.has_link(0, w) || !view.has_link(w, v)) continue;
+      // Owner-row and disk tests before the lazily evaluated (w, v) link.
+      if (!view.has_link(0, w) || !(direct > view.cost_max(0, w))) continue;
       removed = geom::in_gabriel_disk(u, pv, view.representative(w)) &&
-                direct > view.cost_max(0, w) && direct > view.cost_max(w, v);
+                view.has_link(w, v) && direct > view.cost_max(w, v);
     }
     if (!removed) out.push_back(v);
   }

@@ -3,6 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <limits>
+#include <stdexcept>
+#include <string>
+
+#include "runner/scenario.hpp"
+#include "topology/protocol.hpp"
 
 namespace mstc::runner {
 namespace {
@@ -75,6 +81,111 @@ TEST(EffectiveHistory, ModeDefaults) {
   EXPECT_EQ(cfg.effective_history(), 3u);
   cfg.history_limit = 5;
   EXPECT_EQ(cfg.effective_history(), 5u) << "explicit value wins";
+}
+
+/// The default config with one field changed by `edit`.
+template <typename Edit>
+ScenarioConfig with(Edit edit) {
+  ScenarioConfig cfg;
+  edit(cfg);
+  return cfg;
+}
+
+TEST(Validate, AcceptsDefaultsAndEveryKnownName) {
+  EXPECT_NO_THROW(validate(ScenarioConfig{}));
+  for (const char* mac : {"ideal", "csma"}) {
+    EXPECT_NO_THROW(validate(with([&](auto& c) { c.mac = mac; })));
+  }
+  for (const char* model : {"static", "waypoint", "walk", "gauss"}) {
+    EXPECT_NO_THROW(validate(with([&](auto& c) { c.mobility_model = model; })));
+  }
+  for (const char* queue : {"calendar", "heap"}) {
+    EXPECT_NO_THROW(validate(with([&](auto& c) { c.queue = queue; })));
+  }
+  for (const std::string& name : topology::protocol_names()) {
+    EXPECT_NO_THROW(validate(with([&](auto& c) { c.protocol = name; })));
+  }
+  EXPECT_NO_THROW(validate(with([](auto& c) { c.hello_jitter = 0.0; })));
+  EXPECT_NO_THROW(validate(with([](auto& c) { c.node_count = 1; })));
+}
+
+// Each rejected config would otherwise crash or never finish, or run and
+// report zeros: run_scenario validates before it builds anything.
+TEST(Validate, RejectsAnEmptyFleet) {
+  // Segfaulted before validation existed.
+  EXPECT_THROW((void)run_scenario(with([](auto& c) { c.node_count = 0; })),
+               std::invalid_argument);
+}
+
+TEST(Validate, RejectsANonPositiveOrNonFiniteRange) {
+  EXPECT_THROW((void)run_scenario(with([](auto& c) { c.normal_range = 0.0; })),
+               std::invalid_argument);
+  EXPECT_THROW(
+      (void)run_scenario(with([](auto& c) { c.normal_range = -5.0; })),
+      std::invalid_argument);
+  EXPECT_THROW((void)run_scenario(with([](auto& c) {
+                 c.normal_range = std::numeric_limits<double>::infinity();
+               })),
+               std::invalid_argument);
+  EXPECT_THROW((void)run_scenario(with([](auto& c) {
+                 c.normal_range = std::numeric_limits<double>::quiet_NaN();
+               })),
+               std::invalid_argument);
+}
+
+TEST(Validate, RejectsANonPositiveOrNonFiniteHelloInterval) {
+  // A zero interval never terminated before validation existed.
+  EXPECT_THROW(
+      (void)run_scenario(with([](auto& c) { c.hello_interval = 0.0; })),
+      std::invalid_argument);
+  EXPECT_THROW(
+      (void)run_scenario(with([](auto& c) { c.hello_interval = -1.0; })),
+      std::invalid_argument);
+  EXPECT_THROW((void)run_scenario(with([](auto& c) {
+                 c.hello_interval = std::numeric_limits<double>::quiet_NaN();
+               })),
+               std::invalid_argument);
+}
+
+TEST(Validate, RejectsAHelloJitterOutsideZeroToOne) {
+  // A jitter of 1.5 never terminated before validation existed.
+  EXPECT_THROW((void)run_scenario(with([](auto& c) { c.hello_jitter = 1.5; })),
+               std::invalid_argument);
+  EXPECT_THROW((void)run_scenario(with([](auto& c) { c.hello_jitter = 1.0; })),
+               std::invalid_argument);
+  EXPECT_THROW(
+      (void)run_scenario(with([](auto& c) { c.hello_jitter = -0.1; })),
+      std::invalid_argument);
+}
+
+TEST(Validate, RejectsUnknownNames) {
+  EXPECT_THROW((void)run_scenario(with([](auto& c) { c.mac = "tdma"; })),
+               std::invalid_argument);
+  EXPECT_THROW(
+      (void)run_scenario(with([](auto& c) { c.mobility_model = "levy"; })),
+      std::invalid_argument);
+  EXPECT_THROW((void)run_scenario(with([](auto& c) { c.queue = "ladder"; })),
+               std::invalid_argument);
+  EXPECT_THROW((void)run_scenario(with([](auto& c) { c.protocol = "XTC"; })),
+               std::invalid_argument);
+}
+
+TEST(Validate, NamesTheOffendingField) {
+  try {
+    validate(with([](auto& c) { c.hello_jitter = 1.5; }));
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("hello_jitter"),
+              std::string::npos)
+        << error.what();
+  }
+  try {
+    validate(with([](auto& c) { c.protocol = "XTC"; }));
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("protocol"), std::string::npos)
+        << error.what();
+  }
 }
 
 }  // namespace

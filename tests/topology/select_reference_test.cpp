@@ -3,7 +3,10 @@
 // O(d^2) pass, and must select exactly what the per-neighbor searches they
 // replaced selected. Those searches are kept below, verbatim, as oracles:
 // a masked Dijkstra per target (condition 2) and a BFS over certainly
-// cheaper links per target (condition 3).
+// cheaper links per target (condition 3). RngProtocol and GabrielProtocol
+// test the owner-row condition before they read the (w, v) link, which a
+// view evaluates on first read; their oracles keep the links-first
+// predicate order they replaced (condition 1).
 //
 // Views come from tests/support/view_fixtures.hpp through the production
 // builders: point views (build_latest_view), interval views
@@ -18,6 +21,7 @@
 #include <string>
 
 #include "core/consistency.hpp"
+#include "geom/predicates.hpp"
 #include "support/view_fixtures.hpp"
 #include "topology/protocol.hpp"
 #include "util/prng.hpp"
@@ -171,6 +175,41 @@ std::vector<std::size_t> reference_search_region(const ViewGraph& view,
   return out;
 }
 
+std::vector<std::size_t> reference_rng(const ViewGraph& view) {
+  std::vector<std::size_t> out;
+  const std::size_t n = view.node_count();
+  for (std::size_t v = 1; v < n; ++v) {
+    const CostKey direct = view.cost_min(0, v);
+    bool removed = false;
+    for (std::size_t w = 1; w < n && !removed; ++w) {
+      if (w == v) continue;
+      if (!view.has_link(0, w) || !view.has_link(w, v)) continue;
+      removed = direct > view.cost_max(0, w) && direct > view.cost_max(w, v);
+    }
+    if (!removed) out.push_back(v);
+  }
+  return out;
+}
+
+std::vector<std::size_t> reference_gabriel(const ViewGraph& view) {
+  std::vector<std::size_t> out;
+  const std::size_t n = view.node_count();
+  const geom::Vec2 u = view.representative(0);
+  for (std::size_t v = 1; v < n; ++v) {
+    const geom::Vec2 pv = view.representative(v);
+    const CostKey direct = view.cost_min(0, v);
+    bool removed = false;
+    for (std::size_t w = 1; w < n && !removed; ++w) {
+      if (w == v) continue;
+      if (!view.has_link(0, w) || !view.has_link(w, v)) continue;
+      removed = geom::in_gabriel_disk(u, pv, view.representative(w)) &&
+                direct > view.cost_max(0, w) && direct > view.cost_max(w, v);
+    }
+    if (!removed) out.push_back(v);
+  }
+  return out;
+}
+
 // --- Harness -------------------------------------------------------------
 
 /// The factory's search-region lineup entry starts at this fraction.
@@ -179,6 +218,8 @@ constexpr double kSearchRegionFraction = 0.25;
 std::vector<std::size_t> reference_select(std::string_view name,
                                           const ViewGraph& view) {
   if (name == "MST") return reference_lmst(view);
+  if (name == "RNG") return reference_rng(view);
+  if (name == "Gabriel") return reference_gabriel(view);
   if (name == "SPT-R") {
     return reference_search_region(view, kSearchRegionFraction);
   }
@@ -301,7 +342,8 @@ TEST_P(SelectReferenceTest, DegenerateViewsMatchPerNeighborSearch) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Lineup, SelectReferenceTest,
-                         ::testing::Values("SPT-2", "SPT-4", "MST", "SPT-R"),
+                         ::testing::Values("SPT-2", "SPT-4", "MST", "SPT-R",
+                                           "RNG", "Gabriel"),
                          [](const auto& param_info) {
                            std::string name = param_info.param;
                            std::replace(name.begin(), name.end(), '-', '_');
