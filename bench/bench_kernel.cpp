@@ -14,7 +14,11 @@
 //
 // Rows compare the recompute cache ON vs OFF and assert byte-identical
 // RunStats between the two (results_identical), mirroring the determinism
-// suite's guarantee. Writes BENCH_kernel.json (see docs/PERFORMANCE.md):
+// suite's guarantee. A separate cache-on `scaling` block runs one 4 s
+// replication per fleet size from n = 2500 to n = 100000 on the calling
+// thread; tools/bench_check.py gates its event counts exactly and holds
+// the n = 100000 events/s at >= 0.40x the n = 2500 rate. Writes
+// BENCH_kernel.json (see docs/PERFORMANCE.md):
 //
 //   ./build/bench/bench_kernel                  # full sweep -> BENCH_kernel.json
 //   ./build/bench/bench_kernel --out <path>     # alternate output path
@@ -35,6 +39,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "metrics/aggregate.hpp"
@@ -232,6 +237,58 @@ ModeResult run_mode(const RowSpec& row, std::uint64_t seed_stream,
   return mode;
 }
 
+// --- scaling block ---------------------------------------------------------
+
+constexpr double kScalingDuration = 4.0;  // simulated seconds per row
+constexpr std::uint64_t kScalingSeed = 20040815;
+
+struct ScalingSpec {
+  const char* label;
+  std::size_t nodes;
+  std::uint64_t seed_stream;
+};
+
+// The former bench_parallel rows and seeds, so the event counts continue
+// that baseline.
+constexpr ScalingSpec kScalingRows[] = {
+    {"n2500_waypoint", 2500, 1},
+    {"n10000_waypoint", 10000, 2},
+    {"n100000_waypoint", 100000, 4},
+};
+
+struct ScalingResult {
+  ScalingSpec spec;
+  std::uint64_t events = 0;
+  double wall_s = 0.0;
+  double events_per_s = 0.0;
+};
+
+ScalingResult run_scaling_row(const ScalingSpec& spec) {
+  const RowSpec row{spec.label, spec.nodes, 1.0, "waypoint"};
+  ScenarioConfig cfg = make_config(row, 0);
+  cfg.duration = kScalingDuration;
+  // Floods and snapshots stay rare, so the rows measure the beacon steady
+  // state at every n.
+  cfg.flood_rate = 0.5;
+  cfg.seed = mstc::util::derive_seed(kScalingSeed, spec.seed_stream);
+  const OneRun run = run_once(cfg, /*cache_on=*/true);
+  ScalingResult result;
+  result.spec = spec;
+  result.events = run.events;
+  result.wall_s = static_cast<double>(run.wall_ns) * 1e-9;
+  result.events_per_s =
+      run.wall_ns > 0 ? static_cast<double>(run.events) * 1e9 /
+                            static_cast<double>(run.wall_ns)
+                      : 0.0;
+  return result;
+}
+
+/// events/s at the largest fleet over events/s at the smallest.
+double scaling_slope(const std::vector<ScalingResult>& rows) {
+  if (rows.size() < 2 || rows.front().events_per_s <= 0.0) return 0.0;
+  return rows.back().events_per_s / rows.front().events_per_s;
+}
+
 struct RowResult {
   RowSpec spec;
   ModeResult cache_off;
@@ -299,8 +356,33 @@ void append_mode_json(std::string& json, const char* name,
   json += "}}";
 }
 
+void append_scaling_json(std::string& json,
+                         const std::vector<ScalingResult>& rows) {
+  char buffer[512];
+  std::snprintf(buffer, sizeof(buffer),
+                "  \"scaling\": {\"duration_s\": %.1f, \"warmup_s\": %.1f, "
+                "\"flood_rate\": 0.5, \"snapshot_rate\": 0.25, "
+                "\"recompute_cache\": true, \"threads\": 1, \"cores\": %u, "
+                "\"seed\": %" PRIu64 ",\n    \"rows\": [\n",
+                kScalingDuration, kWarmup, std::thread::hardware_concurrency(),
+                kScalingSeed);
+  json += buffer;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const ScalingResult& r = rows[i];
+    std::snprintf(buffer, sizeof(buffer),
+                  "      {\"label\": \"%s\", \"nodes\": %zu, \"events\": "
+                  "%" PRIu64 ", \"wall_s\": %.6f, \"events_per_s\": %.1f}%s\n",
+                  r.spec.label, r.spec.nodes, r.events, r.wall_s,
+                  r.events_per_s, i + 1 < rows.size() ? "," : "");
+    json += buffer;
+  }
+  std::snprintf(buffer, sizeof(buffer), "    ],\n    \"slope\": %.2f}\n",
+                scaling_slope(rows));
+  json += buffer;
+}
+
 bool write_json(const std::string& path, const std::vector<RowResult>& rows,
-                bool have_ref) {
+                const std::vector<ScalingResult>& scaling, bool have_ref) {
   std::string json = "{\n";
   json += "  \"bench\": \"bench_kernel\",\n";
   json += "  \"version\": \"" +
@@ -342,7 +424,9 @@ bool write_json(const std::string& path, const std::vector<RowResult>& rows,
     json += "}";
     json += i + 1 < rows.size() ? ",\n" : "\n";
   }
-  json += "  ]\n}\n";
+  json += "  ],\n";
+  append_scaling_json(json, scaling);
+  json += "}\n";
 
   std::ofstream file(path);
   if (!file) return false;
@@ -454,7 +538,18 @@ int main(int argc, char** argv) {
     }
     print_row(rows.back());
   }
-  if (!write_json(out_path, rows, !ref_text.empty())) {
+  std::printf("\n=== scaling: cache-on events/s vs n, %.0f s, one thread ===\n",
+              kScalingDuration);
+  std::vector<ScalingResult> scaling;
+  for (const ScalingSpec& spec : kScalingRows) {
+    scaling.push_back(run_scaling_row(spec));
+    std::printf("%-26s %10.0f ev/s  (%" PRIu64 " events, %.2f s)\n",
+                spec.label, scaling.back().events_per_s, scaling.back().events,
+                scaling.back().wall_s);
+  }
+  std::printf("slope n=%zu / n=%zu: %.2f\n", scaling.back().spec.nodes,
+              scaling.front().spec.nodes, scaling_slope(scaling));
+  if (!write_json(out_path, rows, scaling, !ref_text.empty())) {
     std::fprintf(stderr, "error: cannot write %s\n", out_path.c_str());
     return 1;
   }

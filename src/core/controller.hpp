@@ -36,7 +36,7 @@ struct ControllerConfig {
   /// bits, post-expiry). Sound because view assembly reads only those
   /// inputs and protocols are pure; skips are counted as
   /// topology_recompute_skips. Disable to measure the uncached path
-  /// (MSTC_NO_RECOMPUTE_CACHE=1 at the scenario level).
+  /// (ScenarioConfig::recompute_cache at the scenario level).
   bool recompute_cache = true;
 };
 

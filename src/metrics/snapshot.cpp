@@ -98,12 +98,12 @@ SnapshotStats measure_snapshot(std::span<const core::NodeController> controllers
         const double range = controllers[u].extended_range();
         range_total += range;
         const double range_sq = range * range;
-        // Physical degree through the block filter: the wide kernel
-        // evaluates exactly the scalar distance_sq predicate, and the count
-        // feeds an integer total, so the result is trivially identical.
-        // u is always its own candidate (distance 0, and every candidate
-        // set is a superset of the exact acceptances), so the count
-        // includes u; subtract it to match the v != u loop.
+        // Physical degree through the SoA filter: it evaluates exactly the
+        // distance_sq predicate, and the count feeds an integer total, so
+        // the result matches the pair loop. u is always its own candidate
+        // (distance 0, and every candidate set is a superset of the exact
+        // acceptances), so the count includes u; subtract it to match the
+        // v != u loop.
         const std::size_t m = candidates.size();
         scratch.xs_.resize(m);
         scratch.ys_.resize(m);
@@ -113,13 +113,8 @@ SnapshotStats measure_snapshot(std::span<const core::NodeController> controllers
         }
         assert(std::binary_search(candidates.begin(), candidates.end(), u));
         const std::size_t within =
-            config.scalar_filter
-                ? geom::count_within_range_scalar(scratch.xs_.data(),
-                                                  scratch.ys_.data(), m,
-                                                  positions[u], range_sq)
-                : geom::count_within_range(scratch.xs_.data(),
-                                           scratch.ys_.data(), m, positions[u],
-                                           range_sq);
+            geom::count_within_range(scratch.xs_.data(), scratch.ys_.data(), m,
+                                     positions[u], range_sq);
         physical_total += within - 1;
         for (const std::size_t v : candidates) {
           if (v <= u) continue;

@@ -39,20 +39,16 @@ struct SnapshotStats {
   double mean_physical_degree = 0.0;
 };
 
-/// Tuning and escape hatch for the grid-backed measurement path. Both
+/// Tuning and test oracle for the grid-backed measurement path. Both
 /// paths produce byte-identical SnapshotStats; brute_force exists for A/B
-/// benchmarking and incident triage (MSTC_SNAPSHOT_BRUTE=1 at the
-/// scenario level).
+/// benchmarking and differential tests (ScenarioConfig::snapshot_brute_force
+/// at the scenario level).
 struct SnapshotConfig {
   bool brute_force = false;
   /// Fleets below this size stay on the brute-force scan (grid build
   /// overhead dominates under the crossover, mirroring the medium's
   /// grid_min_nodes threshold).
   std::size_t grid_min_nodes = 150;
-  /// Escape hatch: run the physical-degree count through the portable
-  /// scalar filter loop instead of the SIMD block kernel (geom/filter.hpp).
-  /// Byte-identical either way; mirrors sim::Medium::Config::scalar_filter.
-  bool scalar_filter = false;
 };
 
 /// Reusable measurement buffers: spatial grid, candidate list, union-find
@@ -74,7 +70,7 @@ class SnapshotScratch {
   graph::SpatialGrid grid_;
   std::vector<std::size_t> candidates_;
   std::vector<double> xs_;  ///< SoA candidate coordinates for the
-  std::vector<double> ys_;  ///< physical-degree block filter
+  std::vector<double> ys_;  ///< physical-degree SoA filter
   graph::UnionFind components_;
   // Reverse logical adjacency in CSR form: row v holds {u : v in L(u)},
   // ascending because rows fill in ascending-u order.

@@ -11,9 +11,9 @@
 //
 // Caching is a pure wall-clock optimization: generation is deterministic
 // in the key, so a hit returns bit-identical traces to a regeneration and
-// cache policy (capacity, eviction, even disabling via
-// MSTC_NO_TRACE_CACHE=1) can never change simulation results — pinned by
-// Determinism.TraceCacheSharedMatchesPerReplication.
+// cache policy (capacity, eviction, even disabling it through
+// ScenarioConfig::trace_cache) can never change simulation results —
+// pinned by Determinism.TraceCacheSharedMatchesPerReplication.
 #pragma once
 
 #include <cstddef>

@@ -56,8 +56,6 @@ const char* counter_name(Counter counter) noexcept {
       return "trace_cache_hits";
     case Counter::kTraceCacheMisses:
       return "trace_cache_misses";
-    case Counter::kKernelQueueResizes:
-      return "kernel_queue_resizes";
     case Counter::kCount:
       break;
   }
@@ -72,8 +70,6 @@ const char* hist_name(Hist hist) noexcept {
       return "snapshot_connectivity";
     case Hist::kEpidemicDelay:
       return "epidemic_delay_s";
-    case Hist::kKernelBucketScanLen:
-      return "kernel_bucket_scan_len";
     case Hist::kCount:
       break;
   }
@@ -95,10 +91,6 @@ std::vector<double> default_edges(Hist hist) {
     }
     case Hist::kEpidemicDelay:
       return {0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0};
-    case Hist::kKernelBucketScanLen:
-      // 1 = the base bucket held the minimum (the O(1) fast path); the
-      // tail diagnoses a bucket width too small for the event spacing.
-      return {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 256.0};
     case Hist::kCount:
       break;
   }

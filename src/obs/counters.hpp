@@ -47,7 +47,6 @@ enum class Counter : std::size_t {
   kSimEventsScheduled,    ///< events pushed into the simulator's queue
   kTraceCacheHits,        ///< scenario trace sets served from the cache
   kTraceCacheMisses,      ///< scenario trace sets generated on demand
-  kKernelQueueResizes,    ///< calendar-queue bucket-width rebuilds
   kCount                  // sentinel
 };
 
@@ -62,7 +61,6 @@ enum class Hist : std::size_t {
   kFloodDeliveryRatio,    ///< per-flood delivery ratio in [0, 1]
   kSnapshotConnectivity,  ///< per-snapshot strict pair connectivity
   kEpidemicDelay,         ///< end-to-end delay of delivered DTN messages (s)
-  kKernelBucketScanLen,   ///< calendar buckets inspected per queue search
   kCount                  // sentinel
 };
 

@@ -57,8 +57,6 @@ const char* ledger_field_name(LedgerField field) noexcept {
       return "trace_cache_hit_rate";
     case LedgerField::kGridHitRate:
       return "grid_hit_rate";
-    case LedgerField::kKernelQueueResizes:
-      return "kernel_queue_resizes";
     case LedgerField::kMediumQuerySeconds:
       return "medium_query_seconds";
     case LedgerField::kViewAssemblySeconds:
@@ -101,7 +99,6 @@ void RunLedger::capture(const RunObservation& observation,
       rate(trace_hits, trace_hits + counters.total(Counter::kTraceCacheMisses));
   grid_hit_rate = rate(counters.total(Counter::kMediumCandidatesAccepted),
                        counters.total(Counter::kMediumCandidates));
-  kernel_queue_resizes = counters.total(Counter::kKernelQueueResizes);
   medium_query_ns = prof.nanos(Category::kMediumQuery);
   view_assembly_ns = prof.nanos(Category::kViewAssembly);
   protocol_select_ns = prof.nanos(Category::kProtocolSelect);
@@ -133,8 +130,6 @@ double RunLedger::value(LedgerField field) const noexcept {
       return trace_cache_hit_rate;
     case LedgerField::kGridHitRate:
       return grid_hit_rate;
-    case LedgerField::kKernelQueueResizes:
-      return static_cast<double>(kernel_queue_resizes);
     case LedgerField::kMediumQuerySeconds:
       return seconds(medium_query_ns);
     case LedgerField::kViewAssemblySeconds:

@@ -51,7 +51,6 @@ enum class LedgerField : std::size_t {
   kRecomputeHitRate,   ///< recompute-cache skips / refresh decisions
   kTraceCacheHitRate,  ///< trace-cache hits / acquisitions
   kGridHitRate,        ///< medium candidates accepted / examined
-  kKernelQueueResizes,  ///< calendar-queue rebuilds (0 under the heap)
   // Per-event cost split (docs/PERFORMANCE.md Amdahl accounting). These
   // nest: medium_query inside the issuing phase, protocol_select inside
   // view_assembly, so they do not sum to sim_seconds.
@@ -81,7 +80,6 @@ struct RunLedger {
   double recompute_hit_rate = 0.0;
   double trace_cache_hit_rate = 0.0;
   double grid_hit_rate = 0.0;
-  std::uint64_t kernel_queue_resizes = 0;  ///< 0 under the heap backend
   std::uint64_t medium_query_ns = 0;     ///< kMediumQuery category wall
   std::uint64_t view_assembly_ns = 0;    ///< kViewAssembly category wall
   std::uint64_t protocol_select_ns = 0;  ///< kProtocolSelect category wall

@@ -19,13 +19,6 @@ ScenarioConfig apply_env_overrides(ScenarioConfig base) {
   base.flood_rate = util::env_or("MSTC_FLOOD_RATE", base.flood_rate);
   base.snapshot_rate = util::env_or("MSTC_SNAPSHOT_RATE", base.snapshot_rate);
   base.warmup = util::env_or("MSTC_WARMUP", base.warmup);
-  if (util::env_flag("MSTC_MEDIUM_BRUTE")) base.medium_brute_force = true;
-  if (util::env_flag("MSTC_NO_RECOMPUTE_CACHE")) base.recompute_cache = false;
-  if (util::env_flag("MSTC_SNAPSHOT_BRUTE")) base.snapshot_brute_force = true;
-  if (util::env_flag("MSTC_NO_TRACE_CACHE")) base.trace_cache = false;
-  if (util::env_flag("MSTC_NO_BATCH_DELIVERY")) base.batch_delivery = false;
-  if (util::env_flag("MSTC_FILTER_SCALAR")) base.scalar_filter = true;
-  base.queue = util::env_or("MSTC_EVENT_QUEUE", base.queue);
   return base;
 }
 

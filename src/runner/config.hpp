@@ -44,8 +44,7 @@ struct ScenarioConfig {
   std::string mac = "ideal";
   /// Serve medium neighbor queries with the brute-force O(n) scan instead
   /// of the spatial index. Results are bit-identical either way (the
-  /// determinism suite asserts it); kept for differential testing and as
-  /// the bench_scale baseline. Env: MSTC_MEDIUM_BRUTE=1.
+  /// determinism suite asserts it); kept as a test oracle.
   bool medium_brute_force = false;
   /// Fleets below this size serve medium queries with the brute scan even
   /// when the index is enabled — the index only breaks even above ~150
@@ -54,43 +53,21 @@ struct ScenarioConfig {
   /// Skip Protocol::select when a node's view store is unchanged since
   /// its previous selection (the protocol is a pure function of the view,
   /// so the selection is provably unchanged; the determinism suite
-  /// byte-compares cache-on vs cache-off sweeps). Kept as an escape hatch
-  /// mirroring medium_brute_force. Env: MSTC_NO_RECOMPUTE_CACHE=1.
+  /// byte-compares cache-on vs cache-off sweeps). Off is kept as a test
+  /// oracle and as bench_kernel's uncached arm.
   bool recompute_cache = true;
   /// Measure snapshots with the brute-force O(n^2) pair scan instead of
   /// the grid-backed fast path. Byte-identical either way (differential
-  /// suite tests/metrics/snapshot_grid_test.cpp); kept for A/B
-  /// benchmarking (bench_snapshot baseline). Env: MSTC_SNAPSHOT_BRUTE=1.
+  /// suite tests/metrics/snapshot_grid_test.cpp); kept as a test oracle
+  /// and as bench_snapshot's brute arm.
   bool snapshot_brute_force = false;
   /// Serve the mobility trace set from the process-wide
   /// mobility::TraceCache (sweep points differing only in protocol / mode
   /// / buffer share one immutable set). Generation is pure in the cache
   /// key, so a hit is bit-identical to a regeneration — pinned by
-  /// Determinism.TraceCacheSharedMatchesPerReplication. Env escape hatch:
-  /// MSTC_NO_TRACE_CACHE=1.
+  /// Determinism.TraceCacheSharedMatchesPerReplication; off is kept as
+  /// that test's oracle.
   bool trace_cache = true;
-  /// Deliver Hello broadcasts through the kernel's batched fan-out (one
-  /// queue entry + one shared closure per transmission) instead of one
-  /// schedule_at per receiver. Sequence numbers are pre-assigned so the
-  /// event stream is byte-identical either way — pinned by
-  /// Determinism.BatchedDeliveryMatchesUnbatchedByteForByte; the
-  /// per-receiver loop is kept as the differential baseline. Env escape
-  /// hatch: MSTC_NO_BATCH_DELIVERY=1.
-  bool batch_delivery = true;
-  /// Serve the medium/snapshot candidate re-check with the portable
-  /// scalar loop instead of the SIMD block filter (see geom/filter.hpp).
-  /// The wide kernel evaluates the identical predicate with
-  /// IEEE-754-identical arithmetic, so results are byte-identical —
-  /// pinned by Determinism.ScalarFilterMatchesWide. Env escape hatch:
-  /// MSTC_FILTER_SCALAR=1.
-  bool scalar_filter = false;
-  /// Event-queue backend: "calendar" (default — the O(1) bucketed
-  /// scheduler, see sim/event_queue.hpp) or "heap" (the binary-heap
-  /// reference). Pop order is a strict (time, sequence) total order, so
-  /// both backends produce byte-identical results — pinned by
-  /// Determinism.CalendarQueueMatchesHeapByteForByte; the heap is kept as
-  /// the differential baseline and escape hatch. Env: MSTC_EVENT_QUEUE.
-  std::string queue = "calendar";
 
   // --- workload & measurement ---
   double duration = 30.0;       ///< simulated seconds
@@ -121,12 +98,11 @@ struct ScenarioConfig {
 /// 10 samples/s (Section 5.1). Heavier: ~10x the default runtime.
 [[nodiscard]] ScenarioConfig paper_scale(ScenarioConfig base);
 
-/// Applies MSTC_SIM_TIME / MSTC_NODES / MSTC_FLOOD_RATE /
-/// MSTC_SNAPSHOT_RATE / MSTC_WARMUP env overrides and the escape hatches
-/// documented on the fields above; MSTC_PAPER_SCALE=1 applies paper_scale
-/// first. This is the only reader of MSTC_* for scenario behaviour: the
-/// CLIs and benches call it at their boundary, and run_scenario reads
-/// nothing but its ScenarioConfig.
+/// Applies the MSTC_SIM_TIME / MSTC_NODES / MSTC_FLOOD_RATE /
+/// MSTC_SNAPSHOT_RATE / MSTC_WARMUP workload-size overrides;
+/// MSTC_PAPER_SCALE=1 applies paper_scale first. This is the only reader
+/// of MSTC_* for scenario behaviour: the CLIs and benches call it at their
+/// boundary, and run_scenario reads nothing but its ScenarioConfig.
 [[nodiscard]] ScenarioConfig apply_env_overrides(ScenarioConfig base);
 
 /// Repetition count for sweeps: MSTC_REPEATS env or `fallback`.

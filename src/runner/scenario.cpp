@@ -1,10 +1,8 @@
 #include "runner/scenario.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <memory>
-#include <numbers>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -91,46 +89,6 @@ std::shared_ptr<const mobility::TraceSet> acquire_traces(
   return traces;
 }
 
-/// Resolves the event-queue backend and its bucket-width hint; unknown
-/// names are a configuration error.
-sim::QueueConfig resolve_queue(const ScenarioConfig& cfg) {
-  const std::optional<sim::QueueBackend> backend =
-      sim::parse_queue_backend(cfg.queue);
-  if (!backend.has_value()) {
-    throw std::invalid_argument("unknown event queue backend: " + cfg.queue);
-  }
-  sim::QueueConfig queue;
-  queue.backend = *backend;
-  if (queue.backend == sim::QueueBackend::kCalendar) {
-    // Bucket-width hint from the scenario's timing shape: the event stream
-    // is dominated by the Hello fan-out. Batched delivery pushes one
-    // fan-out entry per broadcast (one send + one fan-out per node per
-    // interval); the unbatched hatch pushes ~degree per-receiver
-    // deliveries instead, so the mean spacing is hello / (n * (1 +
-    // degree)). Width targets kTargetOccupancy events per bucket; the
-    // queue's occupancy self-resize corrects any drift (floods, MAC
-    // retries, expiry sweeps). The hint shapes wall clock only — event
-    // order is identical whatever the width.
-    const double area = cfg.area.width * cfg.area.height;
-    const double fleet = static_cast<double>(cfg.node_count);
-    const double degree = std::min(
-        std::max(fleet - 1.0, 0.0),
-        area > 0.0 ? std::numbers::pi * cfg.normal_range * cfg.normal_range *
-                         fleet / area
-                   : 0.0);
-    const double per_interval =
-        cfg.batch_delivery ? fleet * 2.0 : fleet * (1.0 + degree);
-    if (per_interval > 0.0 && cfg.hello_interval > 0.0) {
-      const double cap = std::max(1e-6, cfg.hello_interval / 16.0);
-      queue.bucket_width = std::clamp(
-          cfg.hello_interval * sim::EventQueue::kTargetOccupancy /
-              per_interval,
-          1e-6, cap);
-    }
-  }
-  return queue;
-}
-
 class Scenario {
  public:
   Scenario(const ScenarioConfig& cfg, obs::RunObservation* observation)
@@ -140,8 +98,7 @@ class Scenario {
         medium_(*traces_,
                 {.propagation_delay = kPropagationDelay,
                  .brute_force = cfg.medium_brute_force,
-                 .grid_min_nodes = cfg.medium_grid_min_nodes,
-                 .scalar_filter = cfg.scalar_filter}),
+                 .grid_min_nodes = cfg.medium_grid_min_nodes}),
         suite_(topology::make_protocol(cfg.protocol)),
         beacon_rng_(util::derive_seed(cfg.seed, 0xBEAC0)),
         traffic_rng_(util::derive_seed(cfg.seed, 0x7AFF1C)),
@@ -171,7 +128,6 @@ class Scenario {
     for (auto& node : nodes_) node.attach_probe(&probe_);
     medium_.set_probe(&probe_);
     simulator_.set_probe(&probe_);
-    simulator_.configure_queue(resolve_queue(cfg));
     // Size the event kernel for the whole run up front: per-node beacon
     // chains plus the pre-scheduled flood and snapshot events (x2 covers
     // per-hop forwarding churn and MAC retries).
@@ -346,40 +302,24 @@ class Scenario {
     // Capturing the delivery time at schedule time is bit-identical to
     // reading now() at execution (schedule_in computes the same sum).
     const double at = now + kPropagationDelay;
-    if (cfg_.batch_delivery) {
-      // Loss injection is applied here, in ascending receiver order, so
-      // the loss_rng_ stream is drawn exactly as the per-receiver loop
-      // below draws it; the surviving set then schedules as ONE fan-out
-      // event whose pre-assigned sequence span reproduces the per-receiver
-      // loop's (time, sequence) keys byte-for-byte.
-      fanout_receivers_.clear();
-      for (NodeId v : receiver_buffer_) {
-        if (drop_by_loss_injection(v)) continue;
-        fanout_receivers_.push_back(static_cast<std::uint32_t>(v));
-      }
-      auto deliver = [this, hello, at](std::uint32_t v) {
-        nodes_[v].on_hello_receive(hello, at);
-      };
-      // The hot-path closure: ONE per Hello (not per receiver). It is
-      // shared across deliveries, so it must not mutate its captures;
-      // on_hello_receive touches only the receiving node's state.
-      static_assert(sim::FanoutHandler::fits_inline<decltype(deliver)>);
-      simulator_.schedule_fanout(at, fanout_receivers_, std::move(deliver));
-      return;
-    }
-    // Unbatched escape hatch (batch_delivery = false): the differential
-    // baseline the batched fan-out is byte-compared against.
-    // mstc-lint: allow(per-receiver-schedule)
+    // Loss injection is applied here, in ascending receiver order, so the
+    // loss_rng_ stream is drawn exactly as a per-receiver schedule_at loop
+    // would draw it; the surviving set then schedules as ONE fan-out event
+    // whose pre-assigned sequence span reproduces that loop's (time,
+    // sequence) keys byte-for-byte.
+    fanout_receivers_.clear();
     for (NodeId v : receiver_buffer_) {
       if (drop_by_loss_injection(v)) continue;
-      auto deliver = [this, v, hello, at] {
-        nodes_[v].on_hello_receive(hello, at);
-      };
-      // The hot-path handler: per receiver, per Hello. It must stay inside
-      // the event kernel's inline storage or every delivery allocates.
-      static_assert(sim::Handler::fits_inline<decltype(deliver)>);
-      simulator_.schedule_at(at, std::move(deliver));
+      fanout_receivers_.push_back(static_cast<std::uint32_t>(v));
     }
+    auto deliver = [this, hello, at](std::uint32_t v) {
+      nodes_[v].on_hello_receive(hello, at);
+    };
+    // The hot-path closure: ONE per Hello (not per receiver). It is shared
+    // across deliveries, so it must not mutate its captures;
+    // on_hello_receive touches only the receiving node's state.
+    static_assert(sim::FanoutHandler::fits_inline<decltype(deliver)>);
+    simulator_.schedule_fanout(at, fanout_receivers_, std::move(deliver));
   }
 
   /// Independent per-reception Hello loss (failure injection).
@@ -528,8 +468,7 @@ class Scenario {
     const auto stats = metrics::measure_snapshot(
         nodes_, position_buffer_, snapshot_scratch_,
         {.brute_force = cfg_.snapshot_brute_force,
-         .grid_min_nodes = cfg_.medium_grid_min_nodes,
-         .scalar_filter = cfg_.scalar_filter},
+         .grid_min_nodes = cfg_.medium_grid_min_nodes},
         &probe_);
     strict_.add(stats.strict_connectivity);
     range_.add(stats.mean_range);
@@ -595,7 +534,24 @@ void validate(const ScenarioConfig& config) {
       reject(field, "must be finite and > 0, got " + std::to_string(value));
     }
   };
+  const auto non_negative = [&](const char* field, double value) {
+    if (!(std::isfinite(value) && value >= 0.0)) {
+      reject(field, "must be finite and >= 0, got " + std::to_string(value));
+    }
+  };
   positive("normal_range", config.normal_range);
+  // Every mobility model generates legs while t < duration, so an infinite
+  // duration never finishes building the fleet.
+  positive("duration", config.duration);
+  // A negative speed walks a waypoint trace backwards in time.
+  non_negative("average_speed", config.average_speed);
+  // An infinite rate steps the schedule by 1 / rate = 0, so the flood and
+  // snapshot loops never end; zero disables the workload.
+  non_negative("flood_rate", config.flood_rate);
+  non_negative("snapshot_rate", config.snapshot_rate);
+  // Negative offsets would schedule measurements before time 0.
+  non_negative("warmup", config.warmup);
+  non_negative("flood_settle", config.flood_settle);
   // A Hello period that is not positive (a zero interval, or a jitter of 1
   // or more) reschedules a beacon at or before its own instant, so the
   // run would never end.
@@ -603,6 +559,10 @@ void validate(const ScenarioConfig& config) {
   if (!(config.hello_jitter >= 0.0 && config.hello_jitter < 1.0)) {
     reject("hello_jitter",
            "must lie in [0, 1), got " + std::to_string(config.hello_jitter));
+  }
+  if (!(config.hello_loss >= 0.0 && config.hello_loss <= 1.0)) {
+    reject("hello_loss",
+           "must lie in [0, 1], got " + std::to_string(config.hello_loss));
   }
   // Names go through the parsers the scenario itself uses, so each name
   // list stays in one place.
@@ -615,9 +575,6 @@ void validate(const ScenarioConfig& config) {
   };
   parses("mac", [&] { (void)uses_csma(config.mac); });
   parses("mobility_model", [&] { (void)make_mobility(config); });
-  if (!sim::parse_queue_backend(config.queue).has_value()) {
-    reject("queue", "unknown event queue backend: " + config.queue);
-  }
   parses("protocol", [&] { (void)topology::make_protocol(config.protocol); });
 }
 

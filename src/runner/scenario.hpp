@@ -15,11 +15,13 @@
 namespace mstc::runner {
 
 /// Rejects a configuration no scenario can run, with a
-/// std::invalid_argument naming the field: an empty fleet, a normal range
-/// or Hello interval that is not finite and positive, a Hello jitter
-/// outside [0, 1), or an unknown mac, mobility_model, queue or protocol
-/// name. run_scenario calls it first, so every CLI, bench and sweep is
-/// checked at the same boundary.
+/// std::invalid_argument naming the field: an empty fleet; a normal range,
+/// duration or Hello interval that is not finite and positive; an average
+/// speed, flood or snapshot rate, warmup or flood settle time that is not
+/// finite and non-negative; a Hello jitter outside [0, 1) or a Hello loss
+/// outside [0, 1]; or an unknown mac, mobility_model or protocol name.
+/// run_scenario calls it first, so every CLI, bench and sweep is checked
+/// at the same boundary.
 void validate(const ScenarioConfig& config);
 
 /// Runs one scenario to completion; deterministic in (config, config.seed).

@@ -80,7 +80,7 @@ void Medium::receivers(NodeId sender, double range, double t,
     // Conservative filter: every node moved at most v_max * |t - t0| since
     // the epoch, so any node within `range` of the sender at t lies within
     // range + 2 * v_max * |t - t0| of the sender's position in the epoch
-    // snapshot. The exact re-check (the block filter below) reproduces the
+    // snapshot. The exact re-check (the SoA filter below) reproduces the
     // brute-force predicate bit-for-bit; SpatialGrid::query's
     // ascending-index order keeps the output order identical too.
     const bool at_epoch = t == epoch_time_;
@@ -104,15 +104,9 @@ void Medium::receivers(NodeId sender, double range, double t,
                               candidate_buffer_.end(),
                               static_cast<std::size_t>(sender)));
     checks = m > 0 ? m - 1 : 0;
-    if (config_.scalar_filter) {
-      geom::filter_within_range_scalar(filter_xs_.data(), filter_ys_.data(),
-                                       candidate_buffer_.data(), m, origin,
-                                       range_sq, sender, out);
-    } else {
-      geom::filter_within_range(filter_xs_.data(), filter_ys_.data(),
-                                candidate_buffer_.data(), m, origin, range_sq,
-                                sender, out);
-    }
+    geom::filter_within_range(filter_xs_.data(), filter_ys_.data(),
+                              candidate_buffer_.data(), m, origin, range_sq,
+                              sender, out);
   }
   if (probe_ != nullptr) {
     probe_->count(obs::Counter::kMediumCandidates, checks);
@@ -141,8 +135,8 @@ void Medium::links_within(double range, double t,
   if (config_.brute_force || traces_.empty() ||
       traces_.size() < config_.grid_min_nodes) {
     positions(t, scratch_positions_);
-    // The deliberate brute-force baseline behind MSTC_MEDIUM_BRUTE and the
-    // small-fleet crossover; the differential suites compare the grid
+    // The deliberate brute-force baseline behind Config::brute_force and
+    // the small-fleet crossover; the differential suites compare the grid
     // against exactly this loop.
     for (NodeId u = 0; u < scratch_positions_.size(); ++u) {
       // mstc-lint: allow(all-pairs-scan)
@@ -169,7 +163,7 @@ void Medium::links_within(double range, double t,
     // Single sweep: node u scans its grid neighborhood and emits u < v
     // pairs. Ascending u plus the grid's ascending candidate order yields
     // exactly the brute-force double loop's lexicographic emission order;
-    // the block filter preserves input order, so feeding it the v > u
+    // the SoA filter preserves input order, so feeding it the v > u
     // suffix of each candidate list keeps the emission order identical.
     for (NodeId u = 0; u < scratch_positions_.size(); ++u) {
       grid_.query(scratch_positions_[u], query_radius, candidate_buffer_);
@@ -188,17 +182,10 @@ void Medium::links_within(double range, double t,
       }
       checks += m;
       accepted_buffer_.clear();
-      if (config_.scalar_filter) {
-        geom::filter_within_range_scalar(
-            filter_xs_.data(), filter_ys_.data(),
-            candidate_buffer_.data() + offset, m, scratch_positions_[u],
-            range_sq, geom::kFilterNoSkip, accepted_buffer_);
-      } else {
-        geom::filter_within_range(filter_xs_.data(), filter_ys_.data(),
-                                  candidate_buffer_.data() + offset, m,
-                                  scratch_positions_[u], range_sq,
-                                  geom::kFilterNoSkip, accepted_buffer_);
-      }
+      geom::filter_within_range(filter_xs_.data(), filter_ys_.data(),
+                                candidate_buffer_.data() + offset, m,
+                                scratch_positions_[u], range_sq,
+                                geom::kFilterNoSkip, accepted_buffer_);
       for (const std::size_t v : accepted_buffer_) out.emplace_back(u, v);
     }
   }

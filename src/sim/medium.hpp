@@ -66,12 +66,6 @@ class Medium {
     /// more often but keep the candidate radius tight; 0 disables slack
     /// entirely (every moving-fleet query rebuilds). Must be >= 0.
     double rebuild_slack_fraction = 0.5;
-
-    /// Escape hatch: re-check grid candidates with the portable scalar
-    /// loop instead of the SIMD block filter (geom/filter.hpp). The wide
-    /// kernel is IEEE-754-identical to the scalar predicate, so results
-    /// are byte-identical either way; kept for differential testing.
-    bool scalar_filter = false;
   };
 
   /// The medium aliases `traces`; the owner must outlive it.
@@ -151,7 +145,7 @@ class Medium {
   mutable std::vector<std::size_t> candidate_buffer_;
   mutable std::vector<geom::Vec2> scratch_positions_;  ///< links_within scratch
   mutable std::vector<double> filter_xs_;  ///< SoA candidate coordinates
-  mutable std::vector<double> filter_ys_;  ///< for the block filter
+  mutable std::vector<double> filter_ys_;  ///< for the SoA filter
   mutable std::vector<std::size_t> accepted_buffer_;  ///< links_within accepts
   mutable std::vector<std::size_t> trace_cursors_;     ///< per-node leg hints
   mutable bool query_thread_set_ = false;

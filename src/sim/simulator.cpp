@@ -1,12 +1,21 @@
 #include "sim/simulator.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
 namespace mstc::sim {
 
+/// FIFO among simultaneous events: the earlier sequence pops first.
+struct Simulator::LaterEvent {
+  bool operator()(const EventKey& a, const EventKey& b) const noexcept {
+    if (a.time != b.time) return b.time < a.time;
+    return b.sequence < a.sequence;
+  }
+};
+
 void Simulator::reserve_events(std::size_t expected_events) {
-  queue_.reserve(expected_events);
+  heap_.reserve(expected_events);
   slots_.reserve(expected_events);
   free_slots_.reserve(expected_events);
 }
@@ -23,7 +32,7 @@ void Simulator::schedule_at(Time at, Handler handler) {
     slot = static_cast<std::uint32_t>(slots_.size());
     slots_.push_back(std::move(handler));
   }
-  queue_.push(EventKey{at, next_sequence_++, slot, 0});
+  push(EventKey{at, next_sequence_++, slot, 0});
   if (probe_ != nullptr) probe_->count(obs::Counter::kSimEventsScheduled);
 }
 
@@ -58,15 +67,30 @@ void Simulator::schedule_fanout(Time at,
   // have drawn; dispatch replays it one delivery at a time.
   const std::uint64_t first = next_sequence_;
   next_sequence_ += receivers.size();
-  queue_.push(EventKey{at, first, slot, kFanoutKey});
+  push(EventKey{at, first, slot, kFanoutKey});
   if (probe_ != nullptr) {
     probe_->count(obs::Counter::kSimEventsScheduled, receivers.size());
   }
 }
 
+// mstc:hot — one call per scheduled event
+void Simulator::push(const EventKey& event) {
+  heap_.push_back(event);
+  std::push_heap(heap_.begin(), heap_.end(), LaterEvent{});
+}
+
+// mstc:hot — once per dispatched event
+Simulator::EventKey Simulator::pop() {
+  assert(!heap_.empty());
+  std::pop_heap(heap_.begin(), heap_.end(), LaterEvent{});
+  const EventKey out = heap_.back();
+  heap_.pop_back();
+  return out;
+}
+
 // mstc:hot — runs once per dispatched event
 Simulator::Handler Simulator::take_next() {
-  const EventKey key = queue_.pop();
+  const EventKey key = pop();
   Handler handler = std::move(slots_[key.slot]);
   free_slots_.push_back(key.slot);
   now_ = key.time;
@@ -81,7 +105,7 @@ void Simulator::run_fanout(const EventKey& top) {
   const Time at = top.time;
   const std::uint32_t slot = top.slot;
   std::uint64_t sequence = top.sequence;
-  queue_.pop();  // invalidates `top`
+  pop();  // invalidates `top`
   now_ = at;
   // One timed scope per broadcast (not per delivery), so attribution costs
   // two clock reads per ~degree deliveries.
@@ -108,8 +132,8 @@ void Simulator::release_fanout_slot(std::uint32_t slot) {
 }
 
 void Simulator::run_until(Time end) {
-  while (!queue_.empty()) {
-    const EventKey& top = queue_.peek();
+  while (!heap_.empty()) {
+    const EventKey& top = heap_.front();
     if (top.time > end) break;
     if (top.key == kFanoutKey) {
       run_fanout(top);
@@ -122,8 +146,8 @@ void Simulator::run_until(Time end) {
 }
 
 void Simulator::run_all() {
-  while (!queue_.empty()) {
-    const EventKey& top = queue_.peek();
+  while (!heap_.empty()) {
+    const EventKey& top = heap_.front();
     if (top.key == kFanoutKey) {
       run_fanout(top);
       continue;

@@ -5,12 +5,11 @@
 // reproducible. This is the ns-2 substitute described in DESIGN.md.
 //
 // Steady state makes no heap allocations: closures live in SBO Handler
-// slots (see handler.hpp) recycled through a free list, and the event
-// queue orders lightweight (time, sequence, slot, key) keys through a
-// pluggable backend (binary-heap reference or the O(1) calendar queue —
-// see event_queue.hpp; both pop the identical stream).
-// reserve_events() pre-sizes everything from scenario parameters so even
-// warmup growth is a handful of vector doublings at most.
+// slots (see handler.hpp) recycled through a free list, and a binary heap
+// orders lightweight (time, sequence, slot, key) keys, so reordering moves
+// 24 trivially-copyable bytes instead of closures. reserve_events()
+// pre-sizes everything from scenario parameters so even warmup growth is
+// a handful of vector doublings at most.
 #pragma once
 
 #include <cstdint>
@@ -18,10 +17,11 @@
 #include <vector>
 
 #include "obs/probe.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/handler.hpp"
 
 namespace mstc::sim {
+
+using Time = double;
 
 class Simulator {
  public:
@@ -30,25 +30,9 @@ class Simulator {
   [[nodiscard]] Time now() const noexcept { return now_; }
 
   /// Attaches an observability probe (nullable). Kernel instrumentation
-  /// is the kSimEventsScheduled counter plus the event queue's resize /
-  /// scan-length metrics; as everywhere, observation never feeds back
-  /// into simulation state.
-  void set_probe(const obs::Probe* probe) noexcept {
-    probe_ = probe;
-    queue_.set_probe(probe);
-  }
-
-  /// Selects the event-queue backend (heap reference or calendar) and its
-  /// sizing hints. Call before the first event is scheduled; the default
-  /// is the heap. Pop order — and therefore every result byte — is
-  /// identical across backends (see event_queue.hpp).
-  void configure_queue(const QueueConfig& config) { queue_.configure(config); }
-
-  /// The live event queue, exposed for tests and benchmarks (resize
-  /// count, current bucket width, backend).
-  [[nodiscard]] const EventQueue& event_queue() const noexcept {
-    return queue_;
-  }
+  /// is the kSimEventsScheduled counter; as everywhere, observation never
+  /// feeds back into simulation state.
+  void set_probe(const obs::Probe* probe) noexcept { probe_ = probe; }
 
   /// Pre-sizes the queue, the handler slots and the free list for
   /// `expected_events` simultaneously-pending events (scenario setup knows
@@ -84,7 +68,7 @@ class Simulator {
   void run_all();
 
   [[nodiscard]] std::size_t pending_events() const noexcept {
-    return queue_.size();
+    return heap_.size();
   }
   /// Number of handlers that have STARTED executing, including the one
   /// currently running. Note this is a count, not an identity: from inside
@@ -109,6 +93,19 @@ class Simulator {
   }
 
  private:
+  /// Heap entry: ordering data plus the index of the event's Handler slot.
+  /// `key` marks batched fan-out entries and never participates in
+  /// ordering, which is by (time, sequence) — a strict total order, since
+  /// sequence numbers are unique.
+  struct EventKey {
+    Time time;
+    std::uint64_t sequence;
+    std::uint32_t slot;
+    std::uint32_t key;
+  };
+  /// Reverse (time, sequence) order: the comparator of the min-heap.
+  struct LaterEvent;
+
   /// EventKey::key of a batched fan-out entry (its slot indexes
   /// fanout_slots_, not slots_); every other event carries 0.
   static constexpr std::uint32_t kFanoutKey = 1;
@@ -128,12 +125,16 @@ class Simulator {
   /// vector's capacity.
   void release_fanout_slot(std::uint32_t slot);
 
+  /// Heap push, and pop of the earliest event (requires a non-empty heap).
+  void push(const EventKey& event);
+  EventKey pop();
+
   /// Pops the earliest event, releases its slot (the handler is already
   /// moved out, so a reentrant schedule_at may reuse it immediately) and
   /// advances the clock/sequence/processed counters; returns the handler.
   Handler take_next();
 
-  EventQueue queue_;  // pluggable backend; heap by default
+  std::vector<EventKey> heap_;  // min-heap via std::push_heap/pop_heap
   std::vector<Handler> slots_;
   std::vector<std::uint32_t> free_slots_;
   std::vector<FanoutSlot> fanout_slots_;  // recycled; vectors keep capacity

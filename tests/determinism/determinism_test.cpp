@@ -320,9 +320,9 @@ TEST(Determinism, TraceCacheSharedMatchesPerReplication) {
   // Replications of one sweep point share a mobility TraceSet through
   // mobility::TraceCache (PR 5). Generation is pure in the cache key, so
   // cache-on sweeps must byte-compare against sweeps that regenerate
-  // per replication (the MSTC_NO_TRACE_CACHE=1 escape hatch) — any
-  // divergence means the key misses an input trace generation reads, or a
-  // shared consumer mutated the set.
+  // per replication (trace_cache = false) — any divergence means the key
+  // misses an input trace generation reads, or a shared consumer mutated
+  // the set.
   const auto configs = representative_configs();
   util::ThreadPool pool(3);
   mobility::TraceCache::global().clear();
@@ -333,22 +333,12 @@ TEST(Determinism, TraceCacheSharedMatchesPerReplication) {
   // This is the setup saving the bench's amortization row quantifies.
   EXPECT_EQ(mobility::TraceCache::global().size(), kRepeats);
 
-  ASSERT_EQ(setenv("MSTC_NO_TRACE_CACHE", "1", 1), 0);
-  auto hatched = configs;
-  for (auto& config : hatched) config = apply_env_overrides(config);
-  ASSERT_EQ(unsetenv("MSTC_NO_TRACE_CACHE"), 0);
-  EXPECT_FALSE(hatched.front().trace_cache);
-  const auto regenerated = bit_snapshot(run_batch_raw(hatched, kRepeats, pool));
-
-  ASSERT_EQ(shared, regenerated)
-      << "trace-cache sharing changed simulation results";
-
-  // Belt and braces: the config-level switch takes the same path.
   auto uncached = configs;
   for (auto& config : uncached) config.trace_cache = false;
-  const auto config_off =
+  const auto regenerated =
       bit_snapshot(run_batch_raw(uncached, kRepeats, pool));
-  ASSERT_EQ(shared, config_off);
+  ASSERT_EQ(shared, regenerated)
+      << "trace-cache sharing changed simulation results";
 }
 
 TEST(Determinism, ChunkSizeOneSweepMatchesDefaultChunking) {
@@ -368,43 +358,6 @@ TEST(Determinism, ChunkSizeOneSweepMatchesDefaultChunking) {
       << "chunk granularity changed sweep results";
 }
 
-TEST(Determinism, CalendarQueueMatchesHeapByteForByte) {
-  // The calendar event queue (see sim/event_queue.hpp) orders events by
-  // the same strict (time, sequence) total order the heap reference does,
-  // so both backends must produce byte-identical stats.
-  // Divergence means the calendar popped out of order somewhere — a
-  // bucket-boundary, overflow-ladder or resize bug.
-  ScenarioConfig waypoint;
-  waypoint.protocol = "RNG";
-  waypoint.average_speed = 30.0;
-  waypoint.duration = 6.0;
-  waypoint.warmup = 1.5;
-  waypoint.seed = 975318642;
-
-  ScenarioConfig still = waypoint;
-  still.mobility_model = "static";
-  still.protocol = "MST";
-  still.mode = core::ConsistencyMode::kWeak;
-
-  for (const auto& base : {waypoint, still}) {
-    ScenarioConfig heap = base;
-    heap.queue = "heap";
-    const auto reference = bit_snapshot(serial_reference({heap}, kRepeats));
-    ScenarioConfig calendar = base;
-    calendar.queue = "calendar";
-    ASSERT_EQ(bit_snapshot(serial_reference({calendar}, kRepeats)), reference)
-        << base.mobility_model << " fleet diverged on the calendar queue";
-
-    // Escape hatch: MSTC_EVENT_QUEUE=heap overrides the config default.
-    ASSERT_EQ(setenv("MSTC_EVENT_QUEUE", "heap", 1), 0);
-    const ScenarioConfig hatched = apply_env_overrides(base);
-    EXPECT_EQ(hatched.queue, "heap");
-    const auto via_env = bit_snapshot(serial_reference({hatched}, kRepeats));
-    ASSERT_EQ(unsetenv("MSTC_EVENT_QUEUE"), 0);
-    ASSERT_EQ(via_env, reference);
-  }
-}
-
 TEST(Determinism, RepeatedParallelBatchesAreByteIdentical) {
   // Pool reuse across batches must not leak state between sweeps.
   const auto configs = representative_configs();
@@ -414,90 +367,31 @@ TEST(Determinism, RepeatedParallelBatchesAreByteIdentical) {
   ASSERT_EQ(first, second);
 }
 
-TEST(Determinism, BatchedDeliveryMatchesUnbatchedByteForByte) {
-  // Batched broadcast fan-out (this PR) turns one Hello into ONE queue
-  // entry carrying the receiver span instead of one closure per receiver,
-  // pre-assigning the exact (time, sequence) keys the per-receiver loop
-  // would have drawn. Pure storage optimization: every config must
-  // byte-match the unbatched escape hatch.
-  ScenarioConfig waypoint;
-  waypoint.protocol = "RNG";
-  waypoint.average_speed = 30.0;
-  waypoint.duration = 6.0;
-  waypoint.warmup = 1.5;
-  waypoint.seed = 864213579;
-
-  ScenarioConfig still = waypoint;
-  still.mobility_model = "static";
-  still.protocol = "MST";
-  still.mode = core::ConsistencyMode::kWeak;
-
-  for (const auto& base : {waypoint, still}) {
-    const auto batched = bit_snapshot(serial_reference({base}, kRepeats));
-
-    // Env hatch: MSTC_NO_BATCH_DELIVERY=1 restores the per-receiver
-    // schedule_at loop.
-    ASSERT_EQ(setenv("MSTC_NO_BATCH_DELIVERY", "1", 1), 0);
-    const ScenarioConfig hatched = apply_env_overrides(base);
-    EXPECT_FALSE(hatched.batch_delivery);
-    const auto unbatched = bit_snapshot(serial_reference({hatched}, kRepeats));
-    ASSERT_EQ(unsetenv("MSTC_NO_BATCH_DELIVERY"), 0);
-    ASSERT_EQ(batched, unbatched)
-        << base.mobility_model << " fleet diverged with batched delivery";
-
-    // Belt and braces: the config-level switch takes the same path.
-    ScenarioConfig config_off = base;
-    config_off.batch_delivery = false;
-    ASSERT_EQ(bit_snapshot(serial_reference({config_off}, kRepeats)), batched);
-  }
-}
-
-TEST(Determinism, ScalarFilterMatchesWideByteForByte) {
-  // The SIMD/SoA candidate filter (this PR) re-checks grid candidates
-  // against the exact range in wide blocks; lane arithmetic is
-  // operation-for-operation the scalar predicate, so the wide and scalar
-  // builds must byte-match over whole runs. grid_min_nodes = 0 forces the
-  // grid (and with it the batched filter) on representative fleets.
-  auto configs = representative_configs();
-  for (auto& config : configs) config.medium_grid_min_nodes = 0;
-  const auto wide = bit_snapshot(serial_reference(configs, kRepeats));
-
-  // Env hatch: MSTC_FILTER_SCALAR=1 routes medium and snapshot filtering
-  // through the portable scalar loop.
-  ASSERT_EQ(setenv("MSTC_FILTER_SCALAR", "1", 1), 0);
-  auto hatched = configs;
-  for (auto& config : hatched) config = apply_env_overrides(config);
-  EXPECT_TRUE(hatched.front().scalar_filter);
-  const auto scalar = bit_snapshot(serial_reference(hatched, kRepeats));
-  ASSERT_EQ(unsetenv("MSTC_FILTER_SCALAR"), 0);
-  ASSERT_EQ(wide, scalar)
-      << "wide candidate filter diverged from the scalar reference";
-
-  // Belt and braces: the config-level switch takes the same path.
-  auto config_off = configs;
-  for (auto& config : config_off) config.scalar_filter = true;
-  ASSERT_EQ(bit_snapshot(serial_reference(config_off, kRepeats)), wide);
-}
-
 TEST(Determinism, RunScenarioReadsOnlyItsConfig) {
   // MSTC_* variables reach a scenario only through apply_env_overrides at
   // the CLI/bench boundary. A config built in code must run exactly as
-  // written whatever the shell exports: even a backend name that would be
-  // rejected, had the scenario read it, leaves the run untouched.
+  // written whatever the shell exports: each override below changes the
+  // run (shorter, smaller, other rates), so a run_scenario that applied
+  // them itself would fail the comparison.
   const auto configs = representative_configs();
   const auto run = [&configs] {
     return bit_snapshot(serial_reference(configs, kRepeats));
   };
   const auto clean = run();
 
-  ASSERT_EQ(setenv("MSTC_EVENT_QUEUE", "bogus", 1), 0);
-  ASSERT_EQ(setenv("MSTC_FILTER_SCALAR", "1", 1), 0);
-  ASSERT_EQ(setenv("MSTC_NO_BATCH_DELIVERY", "1", 1), 0);
-  ASSERT_EQ(setenv("MSTC_NO_TRACE_CACHE", "1", 1), 0);
-  std::vector<std::uint64_t> exported;
-  EXPECT_NO_THROW(exported = run());
-  for (const char* name : {"MSTC_EVENT_QUEUE", "MSTC_FILTER_SCALAR",
-                           "MSTC_NO_BATCH_DELIVERY", "MSTC_NO_TRACE_CACHE"}) {
+  const char* const exports[][2] = {{"MSTC_SIM_TIME", "2.5"},
+                                    {"MSTC_NODES", "30"},
+                                    {"MSTC_FLOOD_RATE", "1"},
+                                    {"MSTC_PAPER_SCALE", "1"}};
+  for (const auto& [name, value] : exports) {
+    ASSERT_EQ(setenv(name, value, 1), 0);
+  }
+  // The exports do reach a config that goes through the boundary.
+  const ScenarioConfig overridden = apply_env_overrides(configs.front());
+  EXPECT_EQ(overridden.node_count, 30u);
+  EXPECT_EQ(overridden.duration, 2.5);
+  const auto exported = run();
+  for (const auto& [name, value] : exports) {
     ASSERT_EQ(unsetenv(name), 0);
   }
   ASSERT_EQ(exported, clean)

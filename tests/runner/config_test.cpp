@@ -99,14 +99,26 @@ TEST(Validate, AcceptsDefaultsAndEveryKnownName) {
   for (const char* model : {"static", "waypoint", "walk", "gauss"}) {
     EXPECT_NO_THROW(validate(with([&](auto& c) { c.mobility_model = model; })));
   }
-  for (const char* queue : {"calendar", "heap"}) {
-    EXPECT_NO_THROW(validate(with([&](auto& c) { c.queue = queue; })));
-  }
   for (const std::string& name : topology::protocol_names()) {
     EXPECT_NO_THROW(validate(with([&](auto& c) { c.protocol = name; })));
   }
   EXPECT_NO_THROW(validate(with([](auto& c) { c.hello_jitter = 0.0; })));
   EXPECT_NO_THROW(validate(with([](auto& c) { c.node_count = 1; })));
+  // Zero rates, speed and offsets are valid: they switch a workload off.
+  EXPECT_NO_THROW(validate(with([](auto& c) { c.flood_rate = 0.0; })));
+  EXPECT_NO_THROW(validate(with([](auto& c) { c.snapshot_rate = 0.0; })));
+  EXPECT_NO_THROW(validate(with([](auto& c) {
+    c.mobility_model = "static";
+    c.average_speed = 0.0;
+  })));
+  EXPECT_NO_THROW(validate(with([](auto& c) { c.warmup = 0.0; })));
+  EXPECT_NO_THROW(validate(with([](auto& c) { c.flood_settle = 0.0; })));
+  // The set-up batches of the end-to-end benchmark: a millisecond run with
+  // no floods or snapshots still builds and runs.
+  EXPECT_NO_THROW((void)run_scenario(with([](auto& c) {
+    c.duration = c.warmup = 1e-3;
+    c.flood_rate = c.snapshot_rate = 0.0;
+  })));
 }
 
 // Each rejected config would otherwise crash or never finish, or run and
@@ -164,10 +176,68 @@ TEST(Validate, RejectsUnknownNames) {
   EXPECT_THROW(
       (void)run_scenario(with([](auto& c) { c.mobility_model = "levy"; })),
       std::invalid_argument);
-  EXPECT_THROW((void)run_scenario(with([](auto& c) { c.queue = "ladder"; })),
-               std::invalid_argument);
   EXPECT_THROW((void)run_scenario(with([](auto& c) { c.protocol = "XTC"; })),
                std::invalid_argument);
+}
+
+/// Expects validate() to reject `cfg` with an error naming `field`. Inputs
+/// that would hang a run go through validate() alone, so a regression
+/// fails here instead of running forever.
+void expect_rejected(const ScenarioConfig& cfg, const std::string& field) {
+  try {
+    validate(cfg);
+    ADD_FAILURE() << "expected std::invalid_argument naming " << field;
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("ScenarioConfig." + field + ":"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+TEST(Validate, RejectsADurationThatIsNotFiniteAndPositive) {
+  // Every mobility model generates legs while t < duration, so
+  // `mstc-sim --duration inf` never finished building its fleet.
+  for (const double duration : {kInf, kNaN, 0.0, -1.0}) {
+    expect_rejected(with([&](auto& c) { c.duration = duration; }), "duration");
+  }
+}
+
+TEST(Validate, RejectsARateThatIsNotFiniteAndNonNegative) {
+  // At an infinite rate the schedule steps by 1 / rate = 0, so the flood
+  // and snapshot loops never ended.
+  for (const double rate : {kInf, kNaN, -1.0}) {
+    expect_rejected(with([&](auto& c) { c.flood_rate = rate; }), "flood_rate");
+    expect_rejected(with([&](auto& c) { c.snapshot_rate = rate; }),
+                    "snapshot_rate");
+  }
+}
+
+TEST(Validate, RejectsASpeedThatIsNotFiniteAndNonNegative) {
+  // A negative waypoint speed walks the trace's clock backwards.
+  for (const double speed : {kInf, kNaN, -10.0}) {
+    expect_rejected(with([&](auto& c) { c.average_speed = speed; }),
+                    "average_speed");
+  }
+}
+
+TEST(Validate, RejectsAWarmupOrSettleThatIsNotFiniteAndNonNegative) {
+  // Negative offsets schedule measurements before time 0.
+  for (const double offset : {kInf, kNaN, -0.5}) {
+    expect_rejected(with([&](auto& c) { c.warmup = offset; }), "warmup");
+    expect_rejected(with([&](auto& c) { c.flood_settle = offset; }),
+                    "flood_settle");
+  }
+}
+
+TEST(Validate, RejectsAHelloLossOutsideZeroToOne) {
+  for (const double loss : {kNaN, -0.1, 1.5}) {
+    expect_rejected(with([&](auto& c) { c.hello_loss = loss; }), "hello_loss");
+  }
+  EXPECT_NO_THROW(validate(with([](auto& c) { c.hello_loss = 0.0; })));
+  EXPECT_NO_THROW(validate(with([](auto& c) { c.hello_loss = 1.0; })));
 }
 
 TEST(Validate, NamesTheOffendingField) {

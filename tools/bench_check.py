@@ -24,11 +24,12 @@ separating what must match exactly from what only a machine can change:
                           toolchain but shifts across stdlib versions; a
                           fresh value may not exceed
                           baseline + max(0.05, 25% of baseline).
-  scaling slope           bench_parallel's serial (calendar-queue) arm
-                          must keep large-fleet events/s at a healthy
-                          fraction of small-fleet events/s; both sides
-                          come from one file, so the guard runs on any
-                          machine.
+  scaling slope           bench_kernel's scaling block must keep
+                          large-fleet events/s at a healthy fraction of
+                          small-fleet events/s; both sides come from one
+                          file, so the guard runs on any machine. Its
+                          event counts are deterministic and compared
+                          exactly.
 
 Also supports --self FILE: schema / internal-invariant checks on a single
 bench JSON (used by the `bench_check_baselines` ctest to keep the
@@ -150,6 +151,24 @@ def compare_kernel(fresh: dict, base: dict, args) -> None:
                         fr["speedup_vs_pre_pr"], br["speedup_vs_pre_pr"],
                         args.tolerance, br["cache_on"]["wall_s"],
                         args.min_wall)
+    fresh_scaling = fresh.get("scaling")
+    check(fresh_scaling is not None, "bench_kernel: missing scaling block")
+    if fresh_scaling is None:
+        return
+    base_scaling = base.get("scaling")
+    if base_scaling is not None:
+        fresh_scale_rows = index_rows(fresh_scaling.get("rows", []), "label")
+        for label, br in index_rows(base_scaling.get("rows", []),
+                                    "label").items():
+            fr = fresh_scale_rows.get(label)
+            check(fr is not None, f"kernel.scaling[{label}]: row missing")
+            if fr is not None:
+                check(fr["events"] == br["events"],
+                      f"kernel.scaling[{label}]: event count changed "
+                      f"{br['events']} -> {fr['events']} — simulation "
+                      "behavior drifted; regenerate baselines deliberately "
+                      "if intended")
+    scaling_guard(fresh_scaling, "fresh")
 
 
 def self_kernel(data: dict) -> None:
@@ -167,6 +186,47 @@ def self_kernel(data: dict) -> None:
         if "cache_off" in row and "cache_on" in row:
             check(row["cache_off"]["events"] == row["cache_on"]["events"],
                   f"kernel[{label}]: event counts differ across cache modes")
+    scaling = data.get("scaling")
+    check(scaling is not None, "bench_kernel: missing scaling block")
+    if scaling is not None:
+        config_ok = scaling.get("threads") == 1 and scaling.get("cores", 0) > 0
+        check(config_ok, "kernel.scaling: must record threads = 1 and cores")
+        for row in scaling.get("rows", []):
+            check(row.get("events", 0) > 0,
+                  f"kernel.scaling[{row.get('label', '?')}]: zero events")
+        scaling_guard(scaling, "self")
+
+
+# Scaling-slope guard: cache-on events/s at the largest fleet may not fall
+# below this fraction of the small-fleet rate. Both rows run on one thread
+# of one machine in one bench_kernel run, so the ratio gates on any core
+# count; a slide under the floor means large-fleet cost per event grew
+# (event queue, medium grid or view-store scaling).
+SCALING_FLOOR = 0.40
+SCALING_SMALL_NODES = 2500
+SCALING_LARGE_NODES = 100000
+
+
+def scaling_guard(scaling: dict, where: str) -> None:
+    """events/s-vs-n slope of a bench_kernel scaling block."""
+    by_nodes = index_rows(scaling.get("rows", []), "nodes")
+    small = by_nodes.get(SCALING_SMALL_NODES)
+    large = by_nodes.get(SCALING_LARGE_NODES)
+    check(small is not None and large is not None,
+          f"kernel.scaling({where}): needs rows at n={SCALING_SMALL_NODES} "
+          f"and n={SCALING_LARGE_NODES}")
+    if small is None or large is None:
+        return
+    small_rate = small["events_per_s"]
+    if small_rate <= 0.0:
+        problem(f"kernel.scaling({where}): zero small-fleet events/s")
+        return
+    ratio = large["events_per_s"] / small_rate
+    check(ratio >= SCALING_FLOOR,
+          f"kernel.scaling({where}): events/s slope "
+          f"n={SCALING_LARGE_NODES} / n={SCALING_SMALL_NODES} = {ratio:.2f}, "
+          f"below the {SCALING_FLOOR} floor — large-fleet cost per event "
+          "degraded")
 
 
 # --- bench_scale (BENCH_medium.json) ---------------------------------------
@@ -271,111 +331,10 @@ def self_snapshot(data: dict) -> None:
               "snapshot.trace_cache_sweep: results_identical is not true")
 
 
-# --- bench_parallel --------------------------------------------------------
-
-# Scaling-slope guard: serial (calendar-queue) events/s at the largest
-# fleet may not fall below this fraction of the small-fleet rate. The
-# heap queue's log-factor put the measured ratio near 0.24; the calendar
-# queue holds it well above this floor, so a slide back under it means
-# the O(1) scheduler stopped doing its job. Single-machine ratio, so it
-# gates on any core count.
-PARALLEL_SCALING_FLOOR = 0.40
-PARALLEL_SCALING_SMALL_NODES = 2500
-PARALLEL_SCALING_LARGE_NODES = 100000
-
-
-def parallel_scaling_guard(data: dict, path: str) -> None:
-    """events/s-vs-n slope: large-fleet serial throughput must stay a
-    healthy fraction of small-fleet throughput (flat-ish scaling is the
-    calendar queue's whole point)."""
-    by_nodes = index_rows(data.get("results", []), "nodes")
-    small = by_nodes.get(PARALLEL_SCALING_SMALL_NODES)
-    large = by_nodes.get(PARALLEL_SCALING_LARGE_NODES)
-    if small is None or large is None:
-        return  # smoke-sized file; nothing to gate
-    small_rate = small["serial"]["events_per_s"]
-    large_rate = large["serial"]["events_per_s"]
-    if small_rate <= 0.0:
-        problem(f"parallel({path}): zero small-fleet events/s")
-        return
-    ratio = large_rate / small_rate
-    check(ratio >= PARALLEL_SCALING_FLOOR,
-          f"parallel({path}): serial events/s scaling slope "
-          f"n={PARALLEL_SCALING_LARGE_NODES} / "
-          f"n={PARALLEL_SCALING_SMALL_NODES} = {ratio:.2f}, below the "
-          f"{PARALLEL_SCALING_FLOOR} floor — large-fleet scheduling "
-          "degraded")
-
-
-def compare_parallel(fresh: dict, base: dict, args) -> None:
-    fresh_rows = index_rows(fresh.get("results", []), "label")
-    base_rows = index_rows(base.get("results", []), "label")
-    shared = sorted(set(fresh_rows) & set(base_rows))
-    check(bool(shared), "bench_parallel: no common row labels to compare")
-    for label in shared:
-        fr, br = fresh_rows[label], base_rows[label]
-        check(fr.get("results_identical") is True,
-              f"parallel[{label}]: calendar arm diverged from the heap "
-              "reference (results_identical false)")
-        # Event counts are pure functions of (config, seed) — per arm.
-        for arm in ("serial_heap", "serial"):
-            if arm not in fr or arm not in br:
-                continue  # pre-queue baseline without serial_heap
-            check(fr[arm]["events"] == br[arm]["events"],
-                  f"parallel[{label}].{arm}: event count changed "
-                  f"{br[arm]['events']} -> {fr[arm]['events']} — "
-                  "simulation behavior drifted; regenerate baselines "
-                  "deliberately if intended")
-        # The queue backend reorders nothing: the calendar arm must pop
-        # the exact event stream the heap arm does.
-        if "serial_heap" in fr:
-            check(fr["serial"]["events"] == fr["serial_heap"]["events"],
-                  f"parallel[{label}]: calendar queue processed "
-                  f"{fr['serial']['events']} events vs heap's "
-                  f"{fr['serial_heap']['events']} — queue backend changed "
-                  "the schedule")
-        # Calendar-vs-heap wall ratio cancels the machine (both arms run
-        # on the same thread of the same box), so it gates on any core
-        # count.
-        if "queue_speedup" in fr and "queue_speedup" in br:
-            check_ratio(f"parallel[{label}]: queue_speedup",
-                        fr["queue_speedup"], br["queue_speedup"],
-                        args.tolerance, br["serial_heap"]["wall_s"],
-                        args.min_wall)
-    parallel_scaling_guard(fresh, "fresh")
-
-
-def self_parallel(data: dict) -> None:
-    rows = data.get("results", [])
-    check(bool(rows), "bench_parallel: empty results")
-    config = data.get("config", {})
-    check(config.get("cores", 0) > 0, "bench_parallel: config lacks cores")
-    check(config.get("threads", 0) > 0, "bench_parallel: config lacks threads")
-    for row in rows:
-        label = row.get("label", "?")
-        check(row.get("results_identical") is True,
-              f"parallel[{label}]: results_identical is not true")
-        for arm in ("serial_heap", "serial"):
-            check(arm in row, f"parallel[{label}]: missing '{arm}'")
-            if arm in row:
-                check(row[arm].get("events", 0) > 0,
-                      f"parallel[{label}].{arm}: zero events")
-        check(row.get("serial_heap", {}).get("queue") == "heap",
-              f"parallel[{label}]: serial_heap arm not on the heap queue")
-        check(row.get("serial", {}).get("queue") == "calendar",
-              f"parallel[{label}]: serial arm not on the calendar queue")
-        if "serial" in row and "serial_heap" in row:
-            check(row["serial"]["events"] == row["serial_heap"]["events"],
-                  f"parallel[{label}]: heap and calendar arms processed "
-                  "different event counts")
-    parallel_scaling_guard(data, "self")
-
-
 HANDLERS = {
     "bench_kernel": (compare_kernel, self_kernel),
     "bench_scale": (compare_scale, self_scale),
     "bench_snapshot": (compare_snapshot, self_snapshot),
-    "bench_parallel": (compare_parallel, self_parallel),
 }
 
 
