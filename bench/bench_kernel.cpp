@@ -277,9 +277,10 @@ ScalingResult run_scaling_row(const ScalingSpec& spec) {
   result.events = run.events;
   result.wall_s = static_cast<double>(run.wall_ns) * 1e-9;
   result.events_per_s =
-      run.wall_ns > 0 ? static_cast<double>(run.events) * 1e9 /
-                            static_cast<double>(run.wall_ns)
-                      : 0.0;
+      run.wall_ns > 0
+          ? static_cast<double>(run.events) * 1e9 /
+                static_cast<double>(run.wall_ns)
+          : 0.0;
   return result;
 }
 

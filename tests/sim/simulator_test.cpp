@@ -26,13 +26,19 @@ TEST(Simulator, EventsFireInTimeOrder) {
 }
 
 TEST(Simulator, SimultaneousEventsAreFifo) {
+  // Two instants scheduled interleaved, 500 events each: the earlier
+  // instant fires first, and each instant fires in schedule order.
   Simulator simulator;
   std::vector<int> order;
-  for (int i = 0; i < 10; ++i) {
-    simulator.schedule_at(5.0, [&order, i] { order.push_back(i); });
+  for (int i = 0; i < 1000; ++i) {
+    simulator.schedule_at(i % 2 == 0 ? 5.0 : 6.0,
+                          [&order, i] { order.push_back(i); });
   }
   simulator.run_all();
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+  std::vector<int> expected;
+  for (int i = 0; i < 1000; i += 2) expected.push_back(i);
+  for (int i = 1; i < 1000; i += 2) expected.push_back(i);
+  EXPECT_EQ(order, expected);
 }
 
 TEST(Simulator, CurrentSequenceTracksExecutingEvent) {
@@ -177,7 +183,9 @@ TEST(Simulator, ReserveEventsPreservesBehavior) {
 
 TEST(Simulator, StressRandomScheduleIsMonotone) {
   // Thousands of events scheduled in random order, some from inside
-  // handlers: observed firing times must be nondecreasing and complete.
+  // handlers (a zero delay lands at the current instant): observed firing
+  // times must be nondecreasing and complete, and events sharing an
+  // instant must fire in schedule order.
   Simulator simulator;
   std::uint64_t x = 12345;
   auto next_rand = [&x] {  // splitmix-style inline generator
@@ -187,9 +195,11 @@ TEST(Simulator, StressRandomScheduleIsMonotone) {
     return z ^ (z >> 27);
   };
   std::vector<double> observed;
+  std::vector<std::uint64_t> sequences;
   int spawned = 0;
   std::function<void()> handler = [&] {
     observed.push_back(simulator.now());
+    sequences.push_back(simulator.current_sequence());
     if (spawned < 2000) {
       ++spawned;
       const double delay =
@@ -205,6 +215,9 @@ TEST(Simulator, StressRandomScheduleIsMonotone) {
   EXPECT_EQ(observed.size(), 2500u);
   for (std::size_t i = 1; i < observed.size(); ++i) {
     ASSERT_LE(observed[i - 1], observed[i]) << "at event " << i;
+    if (observed[i - 1] == observed[i]) {
+      ASSERT_LT(sequences[i - 1], sequences[i]) << "at event " << i;
+    }
   }
   EXPECT_EQ(simulator.processed_events(), 2500u);
   EXPECT_EQ(simulator.pending_events(), 0u);
