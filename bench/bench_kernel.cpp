@@ -5,7 +5,8 @@
 // controllers -> floods/snapshots) twice per cache mode — once at the base
 // duration and once at double duration — so the *steady-state* allocation
 // rate can be reported as the marginal (extra allocations) / (extra
-// events), excluding one-time setup. Reported per mode:
+// events), excluding one-time setup. An untimed warm-up run per row first
+// grows the per-thread scratch. Reported per mode:
 //
 //   events_per_s     simulator events processed per wall second (the
 //                    obs::Profiler's event-loop measurement, setup excluded)
@@ -26,7 +27,9 @@
 //                                               #   a previous BENCH_kernel.json
 //                                               #   (speedup_vs_pre_pr column)
 //   ./build/bench/bench_kernel --smoke          # CI guard: tiny n, asserts
-//                                               #   results_identical; no JSON
+//                                               #   results_identical and the
+//                                               #   waypoint allocs/event
+//                                               #   ceiling; no JSON
 #include <atomic>
 #include <bit>
 #include <cinttypes>
@@ -218,9 +221,12 @@ ModeResult run_mode(const RowSpec& row, std::uint64_t seed_stream,
           : 0.0;
   mode.allocations = longer.allocations;
   if (longer.events > base.events) {
-    mode.allocs_per_event =
-        static_cast<double>(longer.allocations - base.allocations) /
-        static_cast<double>(longer.events - base.events);
+    // Signed: a long run may allocate less than its base run when the base
+    // run grew some buffer for good.
+    const std::int64_t extra = static_cast<std::int64_t>(longer.allocations) -
+                               static_cast<std::int64_t>(base.allocations);
+    mode.allocs_per_event = static_cast<double>(extra) /
+                            static_cast<double>(longer.events - base.events);
   }
   const std::uint64_t decisions = longer.recomputes + longer.skips;
   mode.skip_rate = decisions > 0 ? static_cast<double>(longer.skips) /
@@ -299,6 +305,13 @@ struct RowResult {
 };
 
 RowResult run_row(const RowSpec& row, std::uint64_t seed_stream) {
+  // Untimed warm-up at the base duration: the first runs on a thread grow
+  // its per-thread selection scratch to the row's largest view, a one-time
+  // cost the marginal rate must not see. Its traces stay out of the trace
+  // cache, so the base run generates (and counts) its own, as before.
+  ScenarioConfig warm_up = make_config(row, seed_stream);
+  warm_up.trace_cache = false;
+  (void)run_once(warm_up, /*cache_on=*/false);
   RowResult result;
   result.spec = row;
   result.cache_off = run_mode(row, seed_stream, /*cache_on=*/false);
@@ -461,6 +474,13 @@ void warn_if_dirty_version() {
   }
 }
 
+// Ceiling on a smoke waypoint row's steady-state allocs/event, either
+// cache mode. At n = 128 the marginal rate reads about 0.005, with view
+// store joins, expiries and receives allocating nothing; a heap block per
+// joining neighbour read 0.03. The ceiling leaves room for toolchain
+// drift, not for an allocation per join, receive or refresh.
+constexpr double kSmokeAllocCeiling = 0.02;
+
 int run_smoke() {
   std::printf("bench_kernel --smoke: kernel/cache guard at tiny n\n");
   int failures = 0;
@@ -474,6 +494,19 @@ int run_smoke() {
                    "FAIL %s: cache-on run diverged from cache-off\n",
                    spec.label);
       ++failures;
+    }
+    if (std::string_view(spec.mobility) == "waypoint") {
+      for (const ModeResult* mode : {&r.cache_off, &r.cache_on}) {
+        if (mode->allocs_per_event > kSmokeAllocCeiling) {
+          std::fprintf(stderr,
+                       "FAIL %s: %.4f steady-state allocs/event %s, above "
+                       "the %.2f ceiling\n",
+                       spec.label, mode->allocs_per_event,
+                       mode == &r.cache_on ? "cache-on" : "cache-off",
+                       kSmokeAllocCeiling);
+          ++failures;
+        }
+      }
     }
     // A static fleet's positions never change, so nearly every refresh
     // after warmup must hit the cache. Zero skips means the cache

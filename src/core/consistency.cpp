@@ -49,13 +49,13 @@ void build_latest_view(const LocalViewStore& store, double normal_range,
   assert(!own.empty() && "owner must have advertised at least once");
   scratch.ids.push_back(store.owner());
   scratch.versions.push_back(own.first(1));  // newest record only
-  // One pass over the store: entries() is already ascending by sender, the
+  // One pass over the store: slots() is already ascending by sender, the
   // canonical neighbor order, so no per-neighbor lookup is needed.
-  for (const LocalViewStore::Entry& entry : store.entries()) {
-    if (entry.sender == store.owner() || entry.history.empty()) continue;
-    scratch.ids.push_back(entry.sender);
-    scratch.versions.push_back(
-        std::span<const topology::VersionedPosition>(entry.history.data(), 1));
+  const auto slots = store.slots();
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    if (slots[i].sender == store.owner()) continue;
+    scratch.ids.push_back(slots[i].sender);
+    scratch.versions.push_back(store.history_at(i).first(1));
   }
   out.assign(scratch.ids, scratch.versions, normal_range, cost);
 }
@@ -79,13 +79,14 @@ bool build_versioned_view(const LocalViewStore& store, std::uint64_t version,
   scratch.versions.clear();
   scratch.ids.push_back(store.owner());
   scratch.versions.push_back(own);
-  // One pass over the store (ascending by sender); members are the entries
+  // One pass over the store (ascending by sender); members are the senders
   // that pin the requested version.
-  for (const LocalViewStore::Entry& entry : store.entries()) {
-    if (entry.sender == store.owner()) continue;
-    for (const auto& record : entry.history) {
+  const auto slots = store.slots();
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    if (slots[i].sender == store.owner()) continue;
+    for (const auto& record : store.history_at(i)) {
       if (record.version == version) {
-        scratch.ids.push_back(entry.sender);
+        scratch.ids.push_back(slots[i].sender);
         scratch.versions.push_back(
             std::span<const topology::VersionedPosition>(&record, 1));
         break;
@@ -119,11 +120,11 @@ void build_weak_view(const LocalViewStore& store, double normal_range,
   scratch.ids.push_back(store.owner());
   scratch.versions.push_back(own);  // full history: the interval view
   // One pass over the store (ascending by sender), full histories.
-  for (const LocalViewStore::Entry& entry : store.entries()) {
-    if (entry.sender == store.owner() || entry.history.empty()) continue;
-    scratch.ids.push_back(entry.sender);
-    scratch.versions.push_back(std::span<const topology::VersionedPosition>(
-        entry.history.data(), entry.history.size()));
+  const auto slots = store.slots();
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    if (slots[i].sender == store.owner()) continue;
+    scratch.ids.push_back(slots[i].sender);
+    scratch.versions.push_back(store.history_at(i));
   }
   out.assign(scratch.ids, scratch.versions, normal_range, cost);
 }

@@ -34,7 +34,7 @@ namespace mstc::core {
 enum class ConsistencyMode { kLatest, kViewSync, kProactive, kReactive, kWeak };
 
 /// Reusable buffers for the out-param view builders below. The spans
-/// borrow the store's internal record vectors, so a ViewScratch is only
+/// borrow the store's record table, so a ViewScratch is only
 /// meaningful during one build; after the warmup neighborhood has been
 /// seen, rebuilding a view through the same scratch allocates nothing.
 ///

@@ -118,10 +118,11 @@ class NodeController {
   const topology::CostModel* cost_;
   ControllerConfig config_;
   LocalViewStore store_;
+  // Next to store_: a Hello receive reads both and nothing else.
+  const obs::Probe* probe_ = nullptr;
   std::vector<NodeId> logical_;
   double actual_range_ = 0.0;
   std::uint64_t hellos_sent_ = 0;
-  const obs::Probe* probe_ = nullptr;
   // Scratch for link-removal diffs; allocated only while a probe counts.
   std::vector<NodeId> previous_logical_;
   // The assembled view, its builder scratch and the protocol output live

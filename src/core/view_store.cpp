@@ -9,8 +9,8 @@ namespace mstc::core {
 
 namespace {
 
-bool sender_less(const LocalViewStore::Entry& entry, NodeId sender) {
-  return entry.sender < sender;
+bool sender_less(const LocalViewStore::Slot& slot, NodeId sender) {
+  return slot.sender < sender;
 }
 
 // Raw bits, not ==: views are compared bit for bit, and -0.0 == 0.0.
@@ -29,65 +29,72 @@ LocalViewStore::LocalViewStore(NodeId owner, std::size_t history_limit,
     : owner_(owner), history_limit_(history_limit), expiry_(expiry) {
   assert(history_limit_ >= 1);
   assert(expiry_ > 0.0);
+  assert(owner_ <= std::numeric_limits<std::uint32_t>::max());
 }
 
-const LocalViewStore::Entry* LocalViewStore::find(
-    NodeId sender) const noexcept {
-  const auto it = std::lower_bound(entries_.begin(), entries_.end(), sender,
-                                   sender_less);
-  if (it == entries_.end() || it->sender != sender) return nullptr;
-  return &*it;
+std::size_t LocalViewStore::find(NodeId sender) const noexcept {
+  // Compares in NodeId width, so an id beyond 32 bits is simply absent.
+  const auto it =
+      std::lower_bound(slots_.begin(), slots_.end(), sender, sender_less);
+  if (it == slots_.end() || it->sender != sender) return kMissing;
+  return static_cast<std::size_t>(it - slots_.begin());
 }
 
 // mstc:hot — runs once per Hello reception
 void LocalViewStore::record(const HelloRecord& hello) {
-  auto slot = std::lower_bound(entries_.begin(), entries_.end(), hello.sender,
-                               sender_less);
-  if (slot == entries_.end() || slot->sender != hello.sender) {
-    slot = entries_.insert(slot, Entry{.sender = hello.sender, .history = {}});
-    // Steady state never reallocates the history: one reserve per sender.
-    slot->history.reserve(history_limit_ + 1);
+  assert(hello.sender <= std::numeric_limits<std::uint32_t>::max());
+  const std::size_t limit = history_limit_;
+  const auto it = std::lower_bound(slots_.begin(), slots_.end(), hello.sender,
+                                   sender_less);
+  const auto index = static_cast<std::size_t>(it - slots_.begin());
+  if (it == slots_.end() || it->sender != hello.sender) {
+    // A join: one slot and one stride of records, shifted in place.
+    slots_.insert(it, Slot{.sender = static_cast<std::uint32_t>(hello.sender),
+                           .count = 0});
+    records_.insert(
+        records_.begin() + static_cast<std::ptrdiff_t>(index * limit), limit,
+        topology::VersionedPosition{});
   }
-  auto& history = slot->history;
+  Slot& slot = slots_[index];
+  topology::VersionedPosition* window = records_.data() + index * limit;
+  const std::size_t count = slot.count;
   // Insert keeping newest-first order by version (receptions can reorder
   // only marginally; handle it anyway for robustness).
-  const auto insert_at = std::find_if(
-      history.begin(), history.end(),
-      [&](const topology::VersionedPosition& existing) {
-        return existing.version <= hello.advertised.version;
-      });
+  std::size_t at = 0;
+  while (at < count && window[at].version > hello.advertised.version) ++at;
   bool changed = false;
-  if (insert_at != history.end() &&
-      insert_at->version == hello.advertised.version) {
+  if (at < count && window[at].version == hello.advertised.version) {
     // Duplicate delivery: refresh in place.
-    changed = tracks(*insert_at) && !same_bits(*insert_at, hello.advertised);
-    *insert_at = hello.advertised;
-  } else {
-    const auto at = history.insert(insert_at, hello.advertised);
-    changed = insertion_changes(
-        history, static_cast<std::size_t>(at - history.begin()));
-    if (history.size() > history_limit_) history.resize(history_limit_);
+    changed = tracks(window[at]) && !same_bits(window[at], hello.advertised);
+    window[at] = hello.advertised;
+  } else if (at < limit) {
+    changed = insertion_changes({window, count}, at, hello.advertised);
+    // A full window loses its last record to the shift.
+    const std::size_t kept = std::min(count, limit - 1);
+    std::copy_backward(window + at, window + kept, window + kept + 1);
+    window[at] = hello.advertised;
+    slot.count = static_cast<std::uint32_t>(kept + 1);
   }
+  // else: older than a full window, dropped at once.
   if (changed) ++generation_;
   if (hello.sender != owner_) {
-    oldest_front_ = std::min(oldest_front_, history.front().send_time);
+    oldest_front_ = std::min(oldest_front_, window[0].send_time);
   }
 }
 
 bool LocalViewStore::insertion_changes(
-    std::span<const topology::VersionedPosition> history,
-    std::size_t at) const noexcept {
-  // A full window holds one record too many here: the last, about to go.
-  const bool overflow = history.size() > history_limit_;
-  if (overflow && at + 1 == history.size()) return false;  // dropped at once
+    std::span<const topology::VersionedPosition> window, std::size_t at,
+    const topology::VersionedPosition& incoming) const noexcept {
+  // A full window drops its last record once `incoming` goes in.
+  const bool full = window.size() == history_limit_;
   if (tracked_version_) {
-    return tracks(history[at]) || (overflow && tracks(history.back()));
+    return tracks(incoming) || (full && tracks(window.back()));
   }
-  if (!overflow) return true;  // the sequence grew
+  if (!full) return true;  // the sequence grew
   // The full window shifts down from `at`: it reads the same only if every
-  // shifted slot lands on equal bits.
-  for (std::size_t i = at; i + 1 < history.size(); ++i) {
-    if (!same_bits(history[i], history[i + 1])) return true;
+  // shifted record holds the incoming bits.
+  for (std::size_t i = at; i < window.size(); ++i) {
+    if (!same_bits(window[i], incoming)) return true;
   }
   return false;
 }
@@ -100,22 +107,32 @@ void LocalViewStore::expire(double now) {
   // path — expire() runs on every Hello reception and every selection
   // refresh, and in steady state nothing is stale.
   if (cutoff <= oldest_front_) return;
+  const std::size_t limit = history_limit_;
   double oldest = std::numeric_limits<double>::infinity();
   bool changed = false;
-  std::erase_if(entries_, [&](const Entry& entry) {
-    const bool stale =
-        entry.sender != owner_ &&
-        (entry.history.empty() || entry.history.front().send_time < cutoff);
-    if (stale) {
-      changed = changed || std::ranges::any_of(entry.history,
-                                               [&](const auto& record) {
-                                                 return tracks(record);
-                                               });
-    } else if (entry.sender != owner_) {
-      oldest = std::min(oldest, entry.history.front().send_time);
+  // One lockstep pass compacts the slots and their windows.
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    const Slot slot = slots_[i];
+    const topology::VersionedPosition* window = records_.data() + i * limit;
+    if (slot.sender != owner_) {
+      if (window[0].send_time < cutoff) {
+        changed = changed || std::any_of(window, window + slot.count,
+                                         [&](const auto& record) {
+                                           return tracks(record);
+                                         });
+        continue;
+      }
+      oldest = std::min(oldest, window[0].send_time);
     }
-    return stale;
-  });
+    if (kept != i) {
+      slots_[kept] = slot;
+      std::copy_n(window, slot.count, records_.data() + kept * limit);
+    }
+    ++kept;
+  }
+  slots_.resize(kept);
+  records_.resize(kept * limit);
   if (changed) ++generation_;
   oldest_front_ = oldest;
 }
@@ -129,23 +146,20 @@ void LocalViewStore::track_version(
 
 std::vector<topology::VersionedPosition> LocalViewStore::history(
     NodeId sender) const {
-  const Entry* entry = find(sender);
-  return entry == nullptr ? std::vector<topology::VersionedPosition>{}
-                          : entry->history;
+  const auto stored = window(find(sender));
+  return std::vector<topology::VersionedPosition>(stored.begin(),
+                                                  stored.end());
 }
 
 std::span<const topology::VersionedPosition> LocalViewStore::records(
     NodeId sender) const {
-  const Entry* entry = find(sender);
-  if (entry == nullptr) return {};
-  return {entry->history.data(), entry->history.size()};
+  return window(find(sender));
 }
 
 std::span<const topology::VersionedPosition> LocalViewStore::record_at(
     NodeId sender, std::uint64_t version) const {
-  const Entry* entry = find(sender);
-  if (entry == nullptr) return {};
-  for (const auto& record : entry->history) {
+  const auto stored = window(find(sender));
+  for (const auto& record : stored) {
     if (record.version == version) return {&record, 1};
   }
   return {};
@@ -153,19 +167,16 @@ std::span<const topology::VersionedPosition> LocalViewStore::record_at(
 
 std::optional<topology::VersionedPosition> LocalViewStore::latest(
     NodeId sender) const {
-  const Entry* entry = find(sender);
-  if (entry == nullptr || entry->history.empty()) return std::nullopt;
-  return entry->history.front();
+  const auto stored = window(find(sender));
+  if (stored.empty()) return std::nullopt;
+  return stored.front();
 }
 
 std::optional<topology::VersionedPosition> LocalViewStore::at_version(
     NodeId sender, std::uint64_t version) const {
-  const Entry* entry = find(sender);
-  if (entry == nullptr) return std::nullopt;
-  for (const auto& record : entry->history) {
-    if (record.version == version) return record;
-  }
-  return std::nullopt;
+  const auto found = record_at(sender, version);
+  if (found.empty()) return std::nullopt;
+  return found.front();
 }
 
 std::vector<NodeId> LocalViewStore::neighbors() const {
@@ -177,13 +188,11 @@ std::vector<NodeId> LocalViewStore::neighbors() const {
 // mstc:hot — runs once per selection refresh; fills the caller-owned buffer
 void LocalViewStore::neighbors(std::vector<NodeId>& out) const {
   out.clear();
-  out.reserve(entries_.size());
-  // entries_ is already ascending by sender — the canonical order that
-  // flows into ViewGraph node indices and tie-breaking downstream.
-  for (const Entry& entry : entries_) {
-    if (entry.sender != owner_ && !entry.history.empty()) {
-      out.push_back(entry.sender);
-    }
+  out.reserve(slots_.size());
+  // slots_ is already ascending by sender — the canonical order that flows
+  // into ViewGraph node indices and tie-breaking downstream.
+  for (const Slot& slot : slots_) {
+    if (slot.sender != owner_) out.push_back(slot.sender);
   }
 }
 

@@ -7,10 +7,20 @@
 // under its own id, because every consistency scheme requires decisions to
 // use the *advertised* self-position, not the true current one.
 //
-// Entries live in a flat vector sorted by sender id. Neighborhoods are
-// small (~density), so a binary search beats hashing, and the selection
-// refresh — the hot consumer — walks entries() once in ascending-id order
-// instead of iterating a hash map, sorting, and re-finding each sender.
+// One flat record table per store, no per-sender heap block:
+//   slots_    one 8-byte Slot per sender (id narrowed to 32 bits, record
+//             count), sorted ascending by sender id — the canonical
+//             neighbor order. Neighborhoods are small (~density), so a
+//             binary search beats hashing.
+//   records_  stride history_limit: sender i's newest-first window lives in
+//             place at records_[i * history_limit], its first
+//             slots_[i].count records valid.
+// A Hello receive binary-searches the slots and shifts at most
+// history_limit - 1 records inside one window. A join inserts one slot and
+// one stride of records, an expiry compacts both arrays in one pass, and
+// neither allocates once the capacity covers the largest neighborhood seen.
+// The selection refresh — the hot consumer — walks slots() once in
+// ascending-id order and reads each window through history_at().
 #pragma once
 
 #include <cstdint>
@@ -25,11 +35,12 @@ namespace mstc::core {
 
 class LocalViewStore {
  public:
-  /// One sender's stored history, newest first. `history` is never empty
-  /// for an entry reachable through entries().
-  struct Entry {
-    NodeId sender = 0;
-    std::vector<topology::VersionedPosition> history;
+  /// One stored sender. Node ids fit in 32 bits: runner::validate rejects a
+  /// fleet of more than 2^32 nodes.
+  struct Slot {
+    std::uint32_t sender = 0;
+    /// Records in the sender's window: 1..history_limit.
+    std::uint32_t count = 0;
   };
 
   /// `history_limit` >= 1; `expiry` in seconds (records from senders whose
@@ -49,11 +60,18 @@ class LocalViewStore {
   /// than now - expiry.
   void expire(double now);
 
-  /// All stored entries (owner included), ascending by sender id — the
+  /// All stored senders (owner included), ascending by sender id — the
   /// canonical neighbor order. Borrowed view: invalidated by
   /// record()/expire().
-  [[nodiscard]] std::span<const Entry> entries() const noexcept {
-    return entries_;
+  [[nodiscard]] std::span<const Slot> slots() const noexcept {
+    return slots_;
+  }
+
+  /// Newest-first, never empty window of slots()[index]. Borrowed view:
+  /// invalidated by record()/expire().
+  [[nodiscard]] std::span<const topology::VersionedPosition> history_at(
+      std::size_t index) const noexcept {
+    return {records_.data() + index * history_limit_, slots_[index].count};
   }
 
   /// Newest-first version history of `sender`; empty when unknown.
@@ -88,7 +106,7 @@ class LocalViewStore {
   void neighbors(std::vector<NodeId>& out) const;
 
   [[nodiscard]] std::size_t neighbor_count() const noexcept {
-    return entries_.size() - (find(owner_) != nullptr ? 1 : 0);
+    return slots_.size() - (find(owner_) != kMissing ? 1 : 0);
   }
 
   /// Change counter over the records a view assembly reads. Two reads
@@ -115,26 +133,40 @@ class LocalViewStore {
   void track_version(std::optional<std::uint64_t> version) noexcept;
 
  private:
-  [[nodiscard]] const Entry* find(NodeId sender) const noexcept;
+  static constexpr std::size_t kMissing =
+      std::numeric_limits<std::size_t>::max();
+
+  /// Index of `sender` in slots_, or kMissing.
+  [[nodiscard]] std::size_t find(NodeId sender) const noexcept;
+  /// records(sender) for a found index; empty for kMissing.
+  [[nodiscard]] std::span<const topology::VersionedPosition> window(
+      std::size_t index) const noexcept {
+    if (index == kMissing) return {};
+    return history_at(index);
+  }
   /// Whether generation() follows `record`: every record while no version
   /// is tracked.
   [[nodiscard]] bool tracks(
       const topology::VersionedPosition& record) const noexcept {
     return !tracked_version_ || record.version == *tracked_version_;
   }
-  /// Whether the record just inserted at `at` changes what generation()
-  /// tracks once the window is cut back to history_limit records.
+  /// Whether inserting `incoming` at `at` into `window` (before the insert)
+  /// changes what generation() tracks once the window is cut back to
+  /// history_limit records.
   [[nodiscard]] bool insertion_changes(
-      std::span<const topology::VersionedPosition> history,
-      std::size_t at) const noexcept;
+      std::span<const topology::VersionedPosition> window, std::size_t at,
+      const topology::VersionedPosition& incoming) const noexcept;
 
   NodeId owner_;
   std::size_t history_limit_;
   double expiry_;
   std::uint64_t generation_ = 0;
   std::optional<std::uint64_t> tracked_version_;
-  // Sorted ascending by sender; histories newest-first and non-empty.
-  std::vector<Entry> entries_;
+  // Sorted ascending by sender; every count in 1..history_limit.
+  std::vector<Slot> slots_;
+  // slots_.size() * history_limit records; window i starts at
+  // i * history_limit, and only its first slots_[i].count are live.
+  std::vector<topology::VersionedPosition> records_;
   // Lower bound on the oldest non-owner front send_time: expire() returns
   // immediately while the cutoff sits below it (nothing can be stale), so
   // the full scan runs only when something might actually expire.

@@ -529,6 +529,13 @@ void validate(const ScenarioConfig& config) {
                                 ": " + why);
   };
   if (config.node_count == 0) reject("node_count", "the fleet is empty");
+  // Node ids are narrowed to 32 bits in the Hello fan-out and the view
+  // stores, so the largest id, node_count - 1, must fit.
+  constexpr std::uint64_t kMaxNodes = std::uint64_t{1} << 32;
+  if (config.node_count > kMaxNodes) {
+    reject("node_count", "at most 2^32 nodes, got " +
+                             std::to_string(config.node_count));
+  }
   const auto positive = [&](const char* field, double value) {
     if (!(std::isfinite(value) && value > 0.0)) {
       reject(field, "must be finite and > 0, got " + std::to_string(value));

@@ -105,9 +105,8 @@ std::vector<metrics::RunStats> run_batch_raw(
       try {
         results[task] = run_scenario(cfg, slot);
       } catch (const std::exception& error) {
-        // Pool tasks must not throw (util::ThreadPool terminates on
-        // escape); dump the diagnosis to disk first, then let it escape —
-        // behavior is unchanged, but the crash is diagnosable.
+        // Dump the diagnosis to disk first, then let it escape:
+        // parallel_for rethrows it on the caller.
         const double wall_seconds =
             static_cast<double>(obs::wall_now_ns() - task_start) * 1e-9;
         dump_postmortem(*hooks.postmortem, hooks, cfg, config_index,

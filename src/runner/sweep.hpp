@@ -68,8 +68,8 @@ struct SweepHooks {
   double soft_deadline_seconds = 0.0;
   /// Post-mortem sink for stragglers and exceptions. When set, a
   /// replication that throws dumps its identity, counters and flight ring
-  /// before the exception continues to the pool (which still terminates —
-  /// see util::ThreadPool — but the diagnosis survives on disk).
+  /// before the exception continues to the sweep's caller (see
+  /// util::parallel_for).
   obs::PostMortemWriter* postmortem = nullptr;
   /// Streaming metrics sink, fed each finished replication's slot in
   /// completion order (the exporter locks internally). Requires

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cassert>
 #include <cstdlib>
+#include <exception>
 #include <memory>
 
 #include "util/options.hpp"
@@ -92,8 +93,8 @@ namespace {
 // every chunk has already been claimed and finished touches only this block,
 // never the unwound caller frame. `body` stays a pointer into the caller:
 // chunks are claimed before the body runs and completion is recorded after
-// it returns, so the caller cannot leave while a claimed chunk still
-// dereferences it, and unclaimed late wakeups never touch it.
+// it returns (or throws), so the caller cannot leave while a claimed chunk
+// still dereferences it, and unclaimed late wakeups never touch it.
 struct ParallelCall {
   std::atomic<std::size_t> next_chunk{0};
   std::size_t n MSTC_UNGUARDED(
@@ -110,24 +111,41 @@ struct ParallelCall {
       "std::condition_variable is internally synchronized; every notify "
       "follows a critical section on mutex");
   std::size_t done MSTC_GUARDED_BY(mutex) = 0;
+  // The first exception a body threw; the caller rethrows it.
+  std::exception_ptr error MSTC_GUARDED_BY(mutex);
 };
 
 // Claims and runs chunks until the shared counter is exhausted, then folds
-// this participant's completions into the call's done count.
+// this participant's completions into the call's done count. A throwing
+// body ends the call early: its chunk counts as done, and the participant
+// claims every chunk nobody has claimed yet, so the others stop and the
+// done count still reaches chunk_count.
 void run_parallel_chunks(ParallelCall& call) MSTC_EXCLUDES(call.mutex) {
   std::size_t completed = 0;
+  std::exception_ptr error;
   for (;;) {
     const std::size_t c =
         call.next_chunk.fetch_add(1, std::memory_order_relaxed);
     if (c >= call.chunk_count) break;
-    const std::size_t end = std::min(call.n, (c + 1) * call.chunk);
-    for (std::size_t i = c * call.chunk; i < end; ++i) (*call.body)(i);
     ++completed;
+    const std::size_t end = std::min(call.n, (c + 1) * call.chunk);
+    try {
+      for (std::size_t i = c * call.chunk; i < end; ++i) (*call.body)(i);
+    } catch (...) {
+      error = std::current_exception();
+      const std::size_t unclaimed =
+          call.next_chunk.exchange(call.chunk_count, std::memory_order_relaxed);
+      if (unclaimed < call.chunk_count) {
+        completed += call.chunk_count - unclaimed;
+      }
+      break;
+    }
   }
   if (completed == 0) return;
   bool all_done = false;
   {
     const MutexLock lock(call.mutex);
+    if (error && !call.error) call.error = error;
     call.done += completed;
     all_done = (call.done == call.chunk_count);
   }
@@ -168,6 +186,8 @@ void parallel_for_chunked(ThreadPool& pool, std::size_t n, std::size_t chunk,
   // Explicit wait loop (not the predicate-lambda overload) so the guarded
   // read of done stays inside this analyzed function body.
   while (call->done != call->chunk_count) call->done_cv.wait(lock.native());
+  // Rethrown only now: no participant reads `body` any more.
+  if (call->error) std::rethrow_exception(call->error);
 }
 
 ThreadPool& global_pool() {

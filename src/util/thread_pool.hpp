@@ -77,6 +77,10 @@ class ThreadPool {
 /// Runs body(i) for i in [0, n) across the pool and waits for completion.
 /// body must be safe to invoke concurrently for distinct indices.
 ///
+/// If body throws, the call stops handing out chunks, waits for the chunks
+/// already running, and rethrows the first exception on the caller; some
+/// indices then never run.
+///
 /// Work is handed out as contiguous index chunks through a shared atomic
 /// chunk counter, with one submitted pool task per participating worker —
 /// scheduling never allocates per index. Which worker runs which chunk is

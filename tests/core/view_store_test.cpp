@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstddef>
+#include <limits>
+#include <map>
+#include <random>
 
 namespace mstc::core {
 namespace {
@@ -146,6 +151,222 @@ TEST(LocalViewStore, TrackedVersionGenerationIgnoresOtherVersions) {
 
   store.track_version(std::nullopt);
   EXPECT_EQ(store.generation(), tracked + 3);
+}
+
+// ---------------------------------------------------------------------------
+// Differential test: the flat slot/record table against the layout it
+// replaced — a sorted vector of {sender, own history vector} entries, whose
+// record/expire/generation rules are kept here verbatim as the reference.
+
+bool same_bits(const topology::VersionedPosition& a,
+               const topology::VersionedPosition& b) {
+  return std::bit_cast<std::uint64_t>(a.position.x) ==
+             std::bit_cast<std::uint64_t>(b.position.x) &&
+         std::bit_cast<std::uint64_t>(a.position.y) ==
+             std::bit_cast<std::uint64_t>(b.position.y);
+}
+
+class EntryVectorStore {
+ public:
+  struct Entry {
+    NodeId sender = 0;
+    std::vector<topology::VersionedPosition> history;
+  };
+
+  EntryVectorStore(NodeId owner, std::size_t history_limit, double expiry)
+      : owner_(owner), history_limit_(history_limit), expiry_(expiry) {}
+
+  void record(const HelloRecord& hello) {
+    auto slot = std::lower_bound(entries_.begin(), entries_.end(),
+                                 hello.sender, sender_less);
+    if (slot == entries_.end() || slot->sender != hello.sender) {
+      slot = entries_.insert(slot,
+                             Entry{.sender = hello.sender, .history = {}});
+      slot->history.reserve(history_limit_ + 1);
+    }
+    auto& history = slot->history;
+    const auto insert_at = std::find_if(
+        history.begin(), history.end(),
+        [&](const topology::VersionedPosition& existing) {
+          return existing.version <= hello.advertised.version;
+        });
+    bool changed = false;
+    if (insert_at != history.end() &&
+        insert_at->version == hello.advertised.version) {
+      changed = tracks(*insert_at) && !same_bits(*insert_at, hello.advertised);
+      *insert_at = hello.advertised;
+    } else {
+      const auto at = history.insert(insert_at, hello.advertised);
+      changed = insertion_changes(
+          history, static_cast<std::size_t>(at - history.begin()));
+      if (history.size() > history_limit_) history.resize(history_limit_);
+    }
+    if (changed) ++generation_;
+    if (hello.sender != owner_) {
+      oldest_front_ = std::min(oldest_front_, history.front().send_time);
+    }
+  }
+
+  void expire(double now) {
+    const double cutoff = now - expiry_;
+    if (cutoff <= oldest_front_) return;
+    double oldest = std::numeric_limits<double>::infinity();
+    bool changed = false;
+    std::erase_if(entries_, [&](const Entry& entry) {
+      const bool stale =
+          entry.sender != owner_ &&
+          (entry.history.empty() || entry.history.front().send_time < cutoff);
+      if (stale) {
+        changed = changed || std::ranges::any_of(entry.history,
+                                                 [&](const auto& record) {
+                                                   return tracks(record);
+                                                 });
+      } else if (entry.sender != owner_) {
+        oldest = std::min(oldest, entry.history.front().send_time);
+      }
+      return stale;
+    });
+    if (changed) ++generation_;
+    oldest_front_ = oldest;
+  }
+
+  void track_version(std::optional<std::uint64_t> version) {
+    if (version == tracked_version_) return;
+    tracked_version_ = version;
+    ++generation_;
+  }
+
+  [[nodiscard]] const std::vector<Entry>& entries() const { return entries_; }
+  [[nodiscard]] std::uint64_t generation() const { return generation_; }
+
+ private:
+  static bool sender_less(const Entry& entry, NodeId sender) {
+    return entry.sender < sender;
+  }
+  [[nodiscard]] bool tracks(const topology::VersionedPosition& record) const {
+    return !tracked_version_ || record.version == *tracked_version_;
+  }
+  [[nodiscard]] bool insertion_changes(
+      std::span<const topology::VersionedPosition> history,
+      std::size_t at) const {
+    const bool overflow = history.size() > history_limit_;
+    if (overflow && at + 1 == history.size()) return false;
+    if (tracked_version_) {
+      return tracks(history[at]) || (overflow && tracks(history.back()));
+    }
+    if (!overflow) return true;
+    for (std::size_t i = at; i + 1 < history.size(); ++i) {
+      if (!same_bits(history[i], history[i + 1])) return true;
+    }
+    return false;
+  }
+
+  NodeId owner_;
+  std::size_t history_limit_;
+  double expiry_;
+  std::uint64_t generation_ = 0;
+  std::optional<std::uint64_t> tracked_version_;
+  std::vector<Entry> entries_;
+  double oldest_front_ = std::numeric_limits<double>::infinity();
+};
+
+bool same_record(const topology::VersionedPosition& a,
+                 const topology::VersionedPosition& b) {
+  return same_bits(a, b) && a.version == b.version &&
+         std::bit_cast<std::uint64_t>(a.send_time) ==
+             std::bit_cast<std::uint64_t>(b.send_time);
+}
+
+void expect_same_store(const LocalViewStore& store,
+                       const EntryVectorStore& reference) {
+  const auto& entries = reference.entries();
+  ASSERT_EQ(store.slots().size(), entries.size());
+  std::vector<NodeId> neighbors;
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    const NodeId sender = entries[i].sender;
+    ASSERT_EQ(store.slots()[i].sender, sender) << "slot " << i;
+    const auto window = store.history_at(i);
+    ASSERT_EQ(window.size(), entries[i].history.size()) << "sender " << sender;
+    ASSERT_EQ(store.records(sender).data(), window.data());
+    for (std::size_t k = 0; k < window.size(); ++k) {
+      ASSERT_TRUE(same_record(window[k], entries[i].history[k]))
+          << "sender " << sender << " record " << k;
+      const auto at = store.record_at(sender, window[k].version);
+      ASSERT_EQ(at.size(), 1u);
+      ASSERT_EQ(at.data(), &window[k]);
+    }
+    if (sender != store.owner()) neighbors.push_back(sender);
+  }
+  EXPECT_EQ(store.neighbors(), neighbors);
+  EXPECT_EQ(store.neighbor_count(), neighbors.size());
+  EXPECT_EQ(store.generation(), reference.generation());
+}
+
+/// Seeded random Hello traffic at one history limit: in-order,
+/// out-of-order, duplicate and older-than-window records from a dozen
+/// senders (the owner among them), joins and expiries as senders fall
+/// silent, tracked-version switches, and positions drawn from a set that
+/// holds both 0.0 and -0.0, so only the bits tell records apart.
+void run_differential(std::size_t history_limit, std::uint64_t seed) {
+  constexpr NodeId kOwner = 5;
+  constexpr std::size_t kSenders = 12;
+  constexpr double kExpiry = 3.0;
+  LocalViewStore store(kOwner, history_limit, kExpiry);
+  EntryVectorStore reference(kOwner, history_limit, kExpiry);
+  std::mt19937_64 rng(seed);
+  const auto uniform = [&](std::uint64_t n) { return rng() % n; };
+  const double coords[] = {0.0, -0.0, 1.0, 250.0};
+  std::map<NodeId, std::uint64_t> newest;  // highest version sent so far
+  double now = 0.0;
+  for (int step = 0; step < 4000; ++step) {
+    SCOPED_TRACE(::testing::Message() << "limit " << history_limit << " seed "
+                                      << seed << " step " << step);
+    const std::uint64_t op = uniform(100);
+    if (op < 70) {
+      // Quiet senders (high ids) speak rarely, so they join and expire.
+      NodeId sender = uniform(kSenders);
+      if (sender >= kSenders / 2 && uniform(4) != 0) sender = kOwner;
+      std::uint64_t& top = newest[sender];
+      std::uint64_t version = top + 1;
+      const std::uint64_t kind = uniform(10);
+      if (kind < 5 || top == 0) {
+        top = version;  // in order
+      } else if (kind < 7) {
+        // Out of order: one or two versions behind the newest.
+        version = top - 1 - uniform(std::min<std::uint64_t>(top, 2));
+      } else if (kind < 9) {
+        version = top;  // duplicate of the newest
+      } else {
+        // Older than a full window (or unsigned-clamped to version 0).
+        const std::uint64_t back = history_limit + uniform(3);
+        version = top > back ? top - back : 0;
+      }
+      const geom::Vec2 position{coords[uniform(4)], coords[uniform(4)]};
+      const HelloRecord hello{sender, {position, version, now}};
+      store.record(hello);
+      reference.record(hello);
+    } else if (op < 90) {
+      now += 0.05 * static_cast<double>(uniform(20));
+      store.expire(now);
+      reference.expire(now);
+    } else {
+      std::optional<std::uint64_t> version;
+      if (uniform(3) != 0) version = uniform(newest[kOwner] + 2);
+      store.track_version(version);
+      reference.track_version(version);
+    }
+    expect_same_store(store, reference);
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+TEST(LocalViewStore, MatchesEntryVectorReferenceAtEveryStride) {
+  for (const std::size_t history_limit : {1u, 2u, 3u}) {
+    for (const std::uint64_t seed : {1u, 2u, 20040426u}) {
+      run_differential(history_limit, seed);
+      if (HasFailure()) return;
+    }
+  }
 }
 
 }  // namespace

@@ -129,6 +129,20 @@ TEST(Validate, RejectsAnEmptyFleet) {
                std::invalid_argument);
 }
 
+TEST(Validate, RejectsAFleetWhoseIdsOverflow32Bits) {
+  // The Hello fan-out and the view stores narrow node ids to 32 bits, so
+  // the largest id, node_count - 1, must fit.
+  constexpr auto kMaxNodes = static_cast<std::size_t>(std::uint64_t{1} << 32);
+  EXPECT_NO_THROW(validate(with([](auto& c) { c.node_count = kMaxNodes; })));
+  try {
+    validate(with([](auto& c) { c.node_count = kMaxNodes + 1; }));
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_EQ(std::string(error.what()),
+              "ScenarioConfig.node_count: at most 2^32 nodes, got 4294967297");
+  }
+}
+
 TEST(Validate, RejectsANonPositiveOrNonFiniteRange) {
   EXPECT_THROW((void)run_scenario(with([](auto& c) { c.normal_range = 0.0; })),
                std::invalid_argument);

@@ -5,6 +5,8 @@
 #include <array>
 #include <atomic>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace mstc::util {
@@ -148,6 +150,45 @@ TEST(ParallelForChunked, NestedFromSingleWorkerRunsInline) {
   });
   pool.wait_idle();
   EXPECT_EQ(count.load(), 100);
+}
+
+TEST(ParallelForChunked, BodyExceptionReachesTheCaller) {
+  // One index throws, on whichever participant claims it: the call stops
+  // handing out chunks, waits for the chunks already running and rethrows
+  // on the caller. A helper's exception must not escape the worker loop
+  // (std::terminate), nor may the caller unwind while helpers still read
+  // the body. TSan (the concurrency label) checks the error handoff.
+  ThreadPool pool(4);
+  for (const std::size_t thrower : {0u, 17u, 63u}) {
+    std::vector<std::atomic<int>> visits(64);
+    const auto body = [&visits, thrower](std::size_t i) {
+      visits[i].fetch_add(1);
+      if (i == thrower) {
+        throw std::runtime_error("index " + std::to_string(i));
+      }
+    };
+    try {
+      parallel_for_chunked(pool, visits.size(), 1, body);
+      ADD_FAILURE() << "no exception for thrower " << thrower;
+    } catch (const std::runtime_error& error) {
+      EXPECT_EQ(std::string(error.what()), "index " + std::to_string(thrower));
+    }
+    EXPECT_EQ(visits[thrower].load(), 1);
+    for (std::size_t i = 0; i < visits.size(); ++i) {
+      EXPECT_LE(visits[i].load(), 1) << "index " << i;
+    }
+  }
+  // Every index throwing keeps one exception and still completes the call.
+  EXPECT_THROW(parallel_for_chunked(pool, 256, 1,
+                                    [](std::size_t) {
+                                      throw std::runtime_error("every");
+                                    }),
+               std::runtime_error);
+  // The pool survives for the next call, which runs in full.
+  std::atomic<int> count{0};
+  parallel_for_chunked(pool, 64, 1,
+                       [&count](std::size_t) { count.fetch_add(1); });
+  EXPECT_EQ(count.load(), 64);
 }
 
 TEST(DefaultParallelChunk, HeuristicKeepsSmallSweepsMaximallyBalanced) {
