@@ -145,7 +145,9 @@ void run_parallel_chunks(ParallelCall& call) MSTC_EXCLUDES(call.mutex) {
   bool all_done = false;
   {
     const MutexLock lock(call.mutex);
-    if (error && !call.error) call.error = error;
+    // Moved, not copied: a participant keeps no reference to the exception
+    // once it reports done, so the caller alone releases it.
+    if (error && !call.error) call.error = std::move(error);
     call.done += completed;
     all_done = (call.done == call.chunk_count);
   }
@@ -182,12 +184,16 @@ void parallel_for_chunked(ThreadPool& pool, std::size_t n, std::size_t chunk,
     pool.submit([call] { run_parallel_chunks(*call); });
   }
   run_parallel_chunks(*call);
-  MutexLock lock(call->mutex);
-  // Explicit wait loop (not the predicate-lambda overload) so the guarded
-  // read of done stays inside this analyzed function body.
-  while (call->done != call->chunk_count) call->done_cv.wait(lock.native());
+  std::exception_ptr error;
+  {
+    MutexLock lock(call->mutex);
+    // Explicit wait loop (not the predicate-lambda overload) so the guarded
+    // read of done stays inside this analyzed function body.
+    while (call->done != call->chunk_count) call->done_cv.wait(lock.native());
+    error = std::move(call->error);
+  }
   // Rethrown only now: no participant reads `body` any more.
-  if (call->error) std::rethrow_exception(call->error);
+  if (error) std::rethrow_exception(error);
 }
 
 ThreadPool& global_pool() {
