@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <numbers>
+#include <stdexcept>
 
 namespace mstc::mobility {
 
@@ -147,6 +148,19 @@ std::unique_ptr<MobilityModel> make_paper_waypoint(Area area,
   return std::make_unique<RandomWaypoint>(area, 0.5 * average_speed,
                                           1.5 * average_speed,
                                           /*pause_time=*/0.0);
+}
+
+std::unique_ptr<MobilityModel> make_model(const std::string& name, Area area,
+                                          double average_speed) {
+  if (name == "static") return std::make_unique<StaticModel>(area);
+  if (name == "waypoint") return make_paper_waypoint(area, average_speed);
+  if (name == "walk") {
+    return std::make_unique<RandomWalk>(area, average_speed, 5.0);
+  }
+  if (name == "gauss") {
+    return std::make_unique<GaussMarkov>(area, average_speed, 0.8);
+  }
+  throw std::invalid_argument("unknown mobility model: " + name);
 }
 
 std::vector<Trace> generate_traces(const MobilityModel& model,

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "mobility/trace.hpp"
@@ -85,6 +86,12 @@ class GaussMarkov final : public MobilityModel {
 /// uniform in [0.5v, 1.5v] so the configured average is v.
 [[nodiscard]] std::unique_ptr<MobilityModel> make_paper_waypoint(
     Area area, double average_speed);
+
+/// The model a scenario names: "static", "waypoint" (make_paper_waypoint),
+/// "walk" (5 s legs) or "gauss" (alpha 0.8), each at `average_speed`.
+/// Throws std::invalid_argument for any other name.
+[[nodiscard]] std::unique_ptr<MobilityModel> make_model(
+    const std::string& name, Area area, double average_speed);
 
 /// Generates `count` independent traces with per-node derived seeds, so a
 /// scenario is reproducible from (seed) alone and trace i never depends on

@@ -1,9 +1,10 @@
 #include "routing/epidemic.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <deque>
-#include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "graph/algorithms.hpp"
@@ -17,25 +18,6 @@ namespace mstc::routing {
 namespace {
 
 using sim::NodeId;
-
-std::unique_ptr<mobility::MobilityModel> make_mobility(
-    const EpidemicConfig& cfg) {
-  if (cfg.mobility_model == "static") {
-    return std::make_unique<mobility::StaticModel>(cfg.area);
-  }
-  if (cfg.mobility_model == "waypoint") {
-    return mobility::make_paper_waypoint(cfg.area, cfg.average_speed);
-  }
-  if (cfg.mobility_model == "walk") {
-    return std::make_unique<mobility::RandomWalk>(cfg.area, cfg.average_speed,
-                                                  5.0);
-  }
-  if (cfg.mobility_model == "gauss") {
-    return std::make_unique<mobility::GaussMarkov>(cfg.area,
-                                                   cfg.average_speed, 0.8);
-  }
-  throw std::invalid_argument("unknown mobility model: " + cfg.mobility_model);
-}
 
 struct Message {
   NodeId source = 0;
@@ -58,7 +40,9 @@ class EpidemicSim {
       : cfg_(cfg),
         probe_(observation),
         traces_(mobility::generate_traces(
-            *make_mobility(cfg), cfg.node_count, cfg.duration,
+            *mobility::make_model(cfg.mobility_model, cfg.area,
+                                  cfg.average_speed),
+            cfg.node_count, cfg.duration,
             util::derive_seed(cfg.seed, 0xE81D))),
         medium_(traces_, {}),
         rng_(util::derive_seed(cfg.seed, 0xC0FFEE)),
@@ -210,12 +194,45 @@ class EpidemicSim {
 
 }  // namespace
 
+void validate(const EpidemicConfig& config) {
+  const auto reject = [](const char* field, const std::string& why) {
+    throw std::invalid_argument(std::string("EpidemicConfig.") + field +
+                                ": " + why);
+  };
+  // A message needs a destination other than its source.
+  if (config.node_count < 2) {
+    reject("node_count", "needs at least 2 nodes, got " +
+                             std::to_string(config.node_count));
+  }
+  const auto positive = [&](const char* field, double value) {
+    if (!(std::isfinite(value) && value > 0.0)) {
+      reject(field, "must be finite and > 0, got " + std::to_string(value));
+    }
+  };
+  // Trace generation and the snapshot schedule run until `duration`, and
+  // a beacon reschedules itself `beacon_interval` later.
+  positive("duration", config.duration);
+  positive("range", config.range);
+  positive("beacon_interval", config.beacon_interval);
+  if (!(std::isfinite(config.average_speed) && config.average_speed >= 0.0)) {
+    reject("average_speed", "must be finite and >= 0, got " +
+                                std::to_string(config.average_speed));
+  }
+  try {
+    (void)mobility::make_model(config.mobility_model, config.area,
+                               config.average_speed);
+  } catch (const std::invalid_argument& error) {
+    reject("mobility_model", error.what());
+  }
+}
+
 EpidemicResult run_epidemic(const EpidemicConfig& config) {
   return run_epidemic(config, nullptr);
 }
 
 EpidemicResult run_epidemic(const EpidemicConfig& config,
                             obs::RunObservation* observation) {
+  validate(config);
   EpidemicSim sim(config, observation);
   return sim.run();
 }

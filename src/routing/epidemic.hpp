@@ -26,7 +26,7 @@ struct EpidemicConfig {
   double range = 100.0;  ///< transmission range (m)
 
   // --- mobility ---
-  std::string mobility_model = "waypoint";  ///< as runner::ScenarioConfig
+  std::string mobility_model = "waypoint";  ///< a mobility::make_model name
   double average_speed = 10.0;
 
   // --- protocol ---
@@ -58,7 +58,15 @@ struct EpidemicResult {
   double snapshot_connectivity = 0.0;
 };
 
+/// Rejects a configuration no run can finish or measure, with a
+/// std::invalid_argument naming the field: fewer than 2 nodes; a duration,
+/// range or beacon interval that is not finite and positive; an average
+/// speed that is not finite and non-negative; or an unknown mobility model
+/// name. run_epidemic calls it first.
+void validate(const EpidemicConfig& config);
+
 /// Runs one epidemic-routing simulation; deterministic in (config, seed).
+/// Throws std::invalid_argument for a config validate() rejects.
 [[nodiscard]] EpidemicResult run_epidemic(const EpidemicConfig& config);
 
 /// Same, recording counters (hello_tx beacons, epidemic_transfers,

@@ -32,25 +32,6 @@ constexpr std::size_t kHelloBits = 512;   // ~64-byte beacon
 constexpr std::size_t kDataBits = 2048;   // ~256-byte data packet
 constexpr std::size_t kSyncBits = 320;    // ~40-byte initiation frame
 
-std::unique_ptr<mobility::MobilityModel> make_mobility(
-    const ScenarioConfig& cfg) {
-  if (cfg.mobility_model == "static") {
-    return std::make_unique<mobility::StaticModel>(cfg.area);
-  }
-  if (cfg.mobility_model == "waypoint") {
-    return mobility::make_paper_waypoint(cfg.area, cfg.average_speed);
-  }
-  if (cfg.mobility_model == "walk") {
-    return std::make_unique<mobility::RandomWalk>(cfg.area, cfg.average_speed,
-                                                  5.0);
-  }
-  if (cfg.mobility_model == "gauss") {
-    return std::make_unique<mobility::GaussMarkov>(cfg.area,
-                                                   cfg.average_speed, 0.8);
-  }
-  throw std::invalid_argument("unknown mobility model: " + cfg.mobility_model);
-}
-
 /// True for "csma" (carrier sensing + collision loss; the paper's
 /// future-work realistic MAC), false for "ideal" (the paper's
 /// collision-free MAC); any other name is a configuration error.
@@ -71,8 +52,9 @@ std::shared_ptr<const mobility::TraceSet> acquire_traces(
   const obs::ScopedTimer timer(probe.profiler(), obs::Category::kTraceGen);
   const std::uint64_t seed = util::derive_seed(cfg.seed, 0xA11CE);
   const auto generate = [&cfg, seed] {
-    return mobility::generate_traces(*make_mobility(cfg), cfg.node_count,
-                                     cfg.duration, seed);
+    return mobility::generate_traces(
+        *mobility::make_model(cfg.mobility_model, cfg.area, cfg.average_speed),
+        cfg.node_count, cfg.duration, seed);
   };
   if (!cfg.trace_cache) {
     probe.count(obs::Counter::kTraceCacheMisses);
@@ -581,7 +563,10 @@ void validate(const ScenarioConfig& config) {
     }
   };
   parses("mac", [&] { (void)uses_csma(config.mac); });
-  parses("mobility_model", [&] { (void)make_mobility(config); });
+  parses("mobility_model", [&] {
+    (void)mobility::make_model(config.mobility_model, config.area,
+                               config.average_speed);
+  });
   parses("protocol", [&] { (void)topology::make_protocol(config.protocol); });
 }
 

@@ -101,21 +101,19 @@ std::vector<metrics::RunStats> run_batch_raw(
     const std::uint64_t task_start = time_tasks ? obs::wall_now_ns() : 0;
     const std::uint64_t allocations_before =
         ledger_on ? obs::allocation_count() : 0;
-    if (hooks.postmortem != nullptr) {
-      try {
-        results[task] = run_scenario(cfg, slot);
-      } catch (const std::exception& error) {
-        // Dump the diagnosis to disk first, then let it escape:
-        // parallel_for rethrows it on the caller.
+    try {
+      results[task] = run_scenario(cfg, slot);
+    } catch (const std::exception& error) {
+      // Dump the diagnosis to disk first, then let it escape:
+      // parallel_for rethrows it on the caller.
+      if (hooks.postmortem != nullptr) {
         const double wall_seconds =
             static_cast<double>(obs::wall_now_ns() - task_start) * 1e-9;
         dump_postmortem(*hooks.postmortem, hooks, cfg, config_index,
                         replication, "exception", error.what(), wall_seconds,
                         slot);
-        throw;
       }
-    } else {
-      results[task] = run_scenario(cfg, slot);
+      throw;
     }
     const std::uint64_t task_wall_ns =
         time_tasks ? obs::wall_now_ns() - task_start : 0;
@@ -160,12 +158,6 @@ std::vector<metrics::RunStats> run_batch_raw(
   return results;
 }
 
-std::vector<metrics::RunStats> run_batch_raw(
-    const std::vector<ScenarioConfig>& configs, std::size_t repeats,
-    util::ThreadPool& pool) {
-  return run_batch_raw(configs, repeats, pool, SweepHooks{});
-}
-
 std::vector<metrics::RunAggregator> run_batch(
     const std::vector<ScenarioConfig>& configs, std::size_t repeats,
     util::ThreadPool& pool, const SweepHooks& hooks) {
@@ -176,22 +168,6 @@ std::vector<metrics::RunAggregator> run_batch(
     aggregated[task / repeats].add(results[task]);
   }
   return aggregated;
-}
-
-std::vector<metrics::RunAggregator> run_batch(
-    const std::vector<ScenarioConfig>& configs, std::size_t repeats,
-    util::ThreadPool& pool) {
-  return run_batch(configs, repeats, pool, SweepHooks{});
-}
-
-std::vector<metrics::RunAggregator> run_batch(
-    const std::vector<ScenarioConfig>& configs, std::size_t repeats) {
-  return run_batch(configs, repeats, util::global_pool());
-}
-
-metrics::RunAggregator run_repeated(const ScenarioConfig& base,
-                                    std::size_t repeats) {
-  return run_batch({base}, repeats).front();
 }
 
 metrics::RunAggregator run_repeated(const ScenarioConfig& base,

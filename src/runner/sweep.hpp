@@ -77,48 +77,30 @@ struct SweepHooks {
   obs::MetricsExporter* exporter = nullptr;
 };
 
-/// Runs `repeats` replications of `base` (seeds derived from base.seed) in
-/// parallel and aggregates the per-run means.
-[[nodiscard]] metrics::RunAggregator run_repeated(const ScenarioConfig& base,
-                                                  std::size_t repeats);
-
-/// Same, with sweep observability (progress callback and/or per-run
-/// counter, trace and profiling slots). Results are byte-identical to the
-/// un-hooked overload.
+/// Runs `repeats` replications of `base` (seeds derived from base.seed) on
+/// the global pool and aggregates the per-run means. Hooks add sweep
+/// observability (progress callback and/or per-run counter, trace and
+/// profiling slots); results are byte-identical with hooks on or off.
 [[nodiscard]] metrics::RunAggregator run_repeated(const ScenarioConfig& base,
                                                   std::size_t repeats,
-                                                  const SweepHooks& hooks);
+                                                  const SweepHooks& hooks = {});
 
 /// Runs a whole batch of independent configurations, each repeated
 /// `repeats` times, parallelizing over (configuration x replication).
-/// Result i aggregates configs[i]'s replications.
-[[nodiscard]] std::vector<metrics::RunAggregator> run_batch(
-    const std::vector<ScenarioConfig>& configs, std::size_t repeats);
-
-/// Same, but on an explicit pool. Results are a pure function of
-/// (configs, repeats) — independent of the pool's thread count — which the
-/// determinism tests assert byte-for-byte.
+/// Result i aggregates configs[i]'s replications. Results are a pure
+/// function of (configs, repeats), independent of the pool's width and of
+/// the hooks, which the determinism suite asserts byte-for-byte.
 [[nodiscard]] std::vector<metrics::RunAggregator> run_batch(
     const std::vector<ScenarioConfig>& configs, std::size_t repeats,
-    util::ThreadPool& pool);
-
-/// Same, with sweep observability; results are byte-identical to the
-/// un-hooked overload (asserted by the determinism suite).
-[[nodiscard]] std::vector<metrics::RunAggregator> run_batch(
-    const std::vector<ScenarioConfig>& configs, std::size_t repeats,
-    util::ThreadPool& pool, const SweepHooks& hooks);
+    util::ThreadPool& pool = util::global_pool(),
+    const SweepHooks& hooks = {});
 
 /// Per-replication raw results for configs[i], replication r at index
 /// i * repeats + r; the building block of run_batch exposed so tests can
-/// byte-compare unaggregated outputs across pool sizes.
+/// byte-compare unaggregated outputs across pool sizes. The hooks never
+/// change the returned stats.
 [[nodiscard]] std::vector<metrics::RunStats> run_batch_raw(
     const std::vector<ScenarioConfig>& configs, std::size_t repeats,
-    util::ThreadPool& pool);
-
-/// Same, with sweep observability; the returned stats are byte-identical
-/// with hooks on or off.
-[[nodiscard]] std::vector<metrics::RunStats> run_batch_raw(
-    const std::vector<ScenarioConfig>& configs, std::size_t repeats,
-    util::ThreadPool& pool, const SweepHooks& hooks);
+    util::ThreadPool& pool, const SweepHooks& hooks = {});
 
 }  // namespace mstc::runner

@@ -341,23 +341,6 @@ TEST(Determinism, TraceCacheSharedMatchesPerReplication) {
       << "trace-cache sharing changed simulation results";
 }
 
-TEST(Determinism, ChunkSizeOneSweepMatchesDefaultChunking) {
-  // parallel_for hands out contiguous index chunks (PR 5); chunk size is
-  // pure scheduling, so MSTC_PARALLEL_CHUNK=1 — the pre-chunking one-index-
-  // per-grab behavior — must byte-match the default heuristic.
-  const auto configs = representative_configs();
-  util::ThreadPool pool(3);
-  const auto chunked = bit_snapshot(run_batch_raw(configs, kRepeats, pool));
-
-  ASSERT_EQ(setenv("MSTC_PARALLEL_CHUNK", "1", 1), 0);
-  const auto unchunked =
-      bit_snapshot(run_batch_raw(configs, kRepeats, pool));
-  ASSERT_EQ(unsetenv("MSTC_PARALLEL_CHUNK"), 0);
-
-  ASSERT_EQ(chunked, unchunked)
-      << "chunk granularity changed sweep results";
-}
-
 TEST(Determinism, RepeatedParallelBatchesAreByteIdentical) {
   // Pool reuse across batches must not leak state between sweeps.
   const auto configs = representative_configs();

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 namespace mstc::mobility {
 namespace {
@@ -153,6 +154,32 @@ TEST(GenerateTraces, DeterministicAndPrefixStable) {
     moved += (a[i].position(0.0) == d[i].position(0.0)) ? 0 : 1;
   }
   EXPECT_GT(moved, 5);
+}
+
+TEST(MakeModel, BuildsEveryScenarioModelByName) {
+  // Leg for leg the model each name stood for before the factory existed,
+  // so scenario and routing traces stay byte-identical.
+  const auto same_legs = [](const MobilityModel& named,
+                            const MobilityModel& direct) {
+    const auto a = generate_traces(named, 4, 60.0, 7);
+    const auto b = generate_traces(direct, 4, 60.0, 7);
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      ASSERT_EQ(a[i].legs().size(), b[i].legs().size()) << "node " << i;
+      for (std::size_t k = 0; k < a[i].legs().size(); ++k) {
+        const Leg& x = a[i].legs()[k];
+        const Leg& y = b[i].legs()[k];
+        EXPECT_EQ(x.start_time, y.start_time);
+        EXPECT_EQ(x.origin, y.origin);
+        EXPECT_EQ(x.velocity, y.velocity);
+      }
+    }
+  };
+  same_legs(*make_model("static", kArea, 10.0), StaticModel(kArea));
+  same_legs(*make_model("waypoint", kArea, 10.0),
+            RandomWaypoint(kArea, 5.0, 15.0, 0.0));
+  same_legs(*make_model("walk", kArea, 10.0), RandomWalk(kArea, 10.0, 5.0));
+  same_legs(*make_model("gauss", kArea, 10.0), GaussMarkov(kArea, 10.0, 0.8));
+  EXPECT_THROW((void)make_model("levy", kArea, 10.0), std::invalid_argument);
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 namespace mstc::routing {
 namespace {
 
@@ -96,9 +100,84 @@ TEST(Epidemic, DenseNetworkDeliversFastAndFully) {
   EXPECT_LT(result.delay.mean(), 10.0);
 }
 
+/// Expects validate() to reject `cfg` with an error naming `field`. Inputs
+/// that would hang a run go through validate() alone, so a regression
+/// fails here instead of running forever.
+void expect_rejected(const EpidemicConfig& cfg, const std::string& field) {
+  try {
+    validate(cfg);
+    ADD_FAILURE() << "expected std::invalid_argument naming " << field;
+  } catch (const std::invalid_argument& error) {
+    EXPECT_EQ(std::string(error.what()).rfind("EpidemicConfig." + field + ": ",
+                                              0),
+              0u)
+        << error.what();
+  }
+}
+
+/// sparse_config() with one field changed by `edit`.
+template <typename Edit>
+EpidemicConfig with(Edit edit) {
+  EpidemicConfig cfg = sparse_config();
+  edit(cfg);
+  return cfg;
+}
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+TEST(EpidemicValidate, RejectsFewerThanTwoNodes) {
+  // A message redraws its destination until it differs from its source,
+  // which never happened on 0 or 1 nodes.
+  for (const std::size_t nodes : {0u, 1u}) {
+    expect_rejected(with([&](auto& c) { c.node_count = nodes; }),
+                    "node_count");
+  }
+  EXPECT_NO_THROW((void)run_epidemic(with([](auto& c) {
+    c.node_count = 2;
+    c.duration = 10.0;
+  })));
+}
+
+TEST(EpidemicValidate, RejectsADurationThatIsNotFiniteAndPositive) {
+  // Trace generation never finished at an infinite duration.
+  for (const double duration : {kInf, kNaN, 0.0, -1.0}) {
+    expect_rejected(with([&](auto& c) { c.duration = duration; }), "duration");
+  }
+}
+
+TEST(EpidemicValidate, RejectsARangeThatIsNotFiniteAndPositive) {
+  // A negative range ran and reported zeros.
+  for (const double range : {kInf, kNaN, 0.0, -3.0}) {
+    expect_rejected(with([&](auto& c) { c.range = range; }), "range");
+  }
+  EXPECT_THROW((void)run_epidemic(with([](auto& c) { c.range = -3.0; })),
+               std::invalid_argument);
+}
+
+TEST(EpidemicValidate, RejectsASpeedThatIsNotFiniteAndNonNegative) {
+  for (const double speed : {kInf, kNaN, -10.0}) {
+    expect_rejected(with([&](auto& c) { c.average_speed = speed; }),
+                    "average_speed");
+  }
+  EXPECT_NO_THROW(validate(with([](auto& c) { c.average_speed = 0.0; })));
+}
+
+TEST(EpidemicValidate, RejectsABeaconIntervalThatIsNotFiniteAndPositive) {
+  // A beacon reschedules itself one interval later, so a zero interval
+  // never leaves its instant.
+  for (const double interval : {kInf, kNaN, 0.0, -1.0}) {
+    expect_rejected(with([&](auto& c) { c.beacon_interval = interval; }),
+                    "beacon_interval");
+  }
+}
+
 TEST(Epidemic, UnknownMobilityModelThrows) {
-  auto cfg = sparse_config();
-  cfg.mobility_model = "hovercraft";
+  for (const char* model : {"static", "waypoint", "walk", "gauss"}) {
+    EXPECT_NO_THROW(validate(with([&](auto& c) { c.mobility_model = model; })));
+  }
+  const auto cfg = with([](auto& c) { c.mobility_model = "hovercraft"; });
+  expect_rejected(cfg, "mobility_model");
   EXPECT_THROW((void)run_epidemic(cfg), std::invalid_argument);
 }
 

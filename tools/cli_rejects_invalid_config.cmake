@@ -1,26 +1,32 @@
-# Runs mstc-sim on configurations runner::validate rejects and requires a
-# clean "error: ScenarioConfig.<field>: ..." and exit code 1 from each, under
-# the default 5 repeats on a multi-thread pool, so the rejection is thrown
-# inside a pool task.
+# Runs a CLI front end on configurations its validate() rejects and requires
+# exit code 1 and a clean "error: <expected>" on stderr from each.
 #
-#   cmake -DMSTC_SIM=<path to mstc-sim> -P cli_rejects_invalid_config.cmake
-set(args_1 --duration inf)
-set(expected_1 "ScenarioConfig.duration: must be finite and > 0")
-set(args_2 --nodes 0)
-set(expected_2 "ScenarioConfig.node_count: the fleet is empty")
-foreach(i 1 2)
+#   cmake -DCLI=<binary> "-DCASES=<case>[|<case>...]" -P cli_rejects_invalid_config.cmake
+#
+# where each <case> is "<arguments>=><expected stderr text>", for example
+#   "--nodes 0=>ScenarioConfig.node_count: the fleet is empty".
+string(REPLACE "|" ";" cases "${CASES}")
+foreach(case IN LISTS cases)
+  string(FIND "${case}" "=>" split)
+  if(split EQUAL -1)
+    message(FATAL_ERROR "case '${case}' lacks '=>'")
+  endif()
+  string(SUBSTRING "${case}" 0 ${split} command_line)
+  math(EXPR split "${split} + 2")
+  string(SUBSTRING "${case}" ${split} -1 expected)
+  separate_arguments(arguments UNIX_COMMAND "${command_line}")
   execute_process(
-    COMMAND "${MSTC_SIM}" ${args_${i}}
+    COMMAND "${CLI}" ${arguments}
     RESULT_VARIABLE code
     OUTPUT_QUIET
     ERROR_VARIABLE stderr)
   if(NOT code STREQUAL "1")
-    message(FATAL_ERROR "mstc-sim ${args_${i}}: exit '${code}', expected 1; "
+    message(FATAL_ERROR "${CLI} ${command_line}: exit '${code}', expected 1; "
                         "stderr:\n${stderr}")
   endif()
-  string(FIND "${stderr}" "error: ${expected_${i}}" at)
+  string(FIND "${stderr}" "error: ${expected}" at)
   if(at EQUAL -1)
-    message(FATAL_ERROR "mstc-sim ${args_${i}}: stderr lacks "
-                        "'error: ${expected_${i}}':\n${stderr}")
+    message(FATAL_ERROR "${CLI} ${command_line}: stderr lacks "
+                        "'error: ${expected}':\n${stderr}")
   endif()
 endforeach()

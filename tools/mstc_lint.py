@@ -42,7 +42,7 @@ those invariants (see docs/DEVELOPMENT.md):
   env-read              util::env_or / env_flag calls in library code
                         outside src/runner/config.cpp (the scenario
                         layer's one MSTC_* reader, apply_env_overrides),
-                        src/util/thread_pool.cpp (pool sizing) and
+                        src/util/thread_pool.cpp (MSTC_THREADS) and
                         src/util/options.* (the helpers themselves). A run
                         must depend on its ScenarioConfig alone, so the
                         environment is read once, at the CLI/bench
@@ -246,9 +246,9 @@ def is_clock_unit(path: Path) -> bool:
 
 def is_env_unit(path: Path) -> bool:
     """The library files allowed to read MSTC_* variables: the scenario
-    config boundary (src/runner/config.cpp), the pool's sizing knobs
-    (src/util/thread_pool.cpp) and the helpers' own definitions
-    (src/util/options.*)."""
+    config boundary (src/runner/config.cpp), the global pool's width,
+    MSTC_THREADS (src/util/thread_pool.cpp), and the helpers' own
+    definitions (src/util/options.*)."""
     return (path.name == "config.cpp" and "runner" in path.parts) or (
         "util" in path.parts
         and path.name in ("thread_pool.cpp", "options.hpp", "options.cpp"))

@@ -14,11 +14,10 @@ for the full catalogue and rationale):
                           cross-platform reproducibility.
   parallel-float-accumulation
                           compound floating-point accumulation (x += ...)
-                          inside a lambda passed to util::parallel_for /
-                          parallel_for_chunked. Cross-iteration float
-                          accumulation under dynamic scheduling reorders
-                          additions and is not bit-stable; reduce into
-                          per-index slots instead.
+                          inside a lambda passed to util::parallel_for.
+                          Cross-iteration float accumulation under dynamic
+                          scheduling reorders additions and is not
+                          bit-stable; reduce into per-index slots instead.
   hot-heap-allocation     heap allocation reachable from a function carrying
                           a `// mstc:hot` contract comment: new expressions,
                           std::make_unique / make_shared, or a local owning
@@ -125,7 +124,7 @@ TYPEDEF_RE = re.compile(r"\btypedef\s+(.+?)\s+(\w+)\s*;")
 RANGE_FOR_RE = re.compile(
     r"\bfor\s*\(.*?:\s*\*?(\w+(?:[.\->]\w+(?:\(\))?)*)\s*\)")
 FLOAT_DECL_RE = re.compile(r"\b(?:double|float)\s+[&*]?\s*(\w+)\s*[;={,)[]")
-PARALLEL_CALL_RE = re.compile(r"\bparallel_for(?:_chunked)?\s*\(")
+PARALLEL_CALL_RE = re.compile(r"\bparallel_for\s*\(")
 LAMBDA_RE = re.compile(r"\[[^\[\]]*\]\s*(?:\([^)]*\))?\s*(?:mutable\s*)?"
                        r"(?:noexcept\s*)?(?:->\s*[\w:<>&*\s]+?)?\s*\{")
 COMPOUND_FLOAT_RE = re.compile(r"(\w+)\s*[+\-*]=")
@@ -809,7 +808,7 @@ class LibclangFrontend:
     def rule_parallel_float(self, ci, cursor, path, findings):
         if cursor.kind != ci.CursorKind.CALL_EXPR:
             return
-        if cursor.spelling not in ("parallel_for", "parallel_for_chunked"):
+        if cursor.spelling != "parallel_for":
             return
 
         def scan(node):
