@@ -95,30 +95,47 @@ TEST(ParallelFor, WidthOneOrOneIndexRunsOnlyOnTheCaller) {
   EXPECT_EQ(participants(4, 1, 1), caller);
 }
 
-TEST(ParallelFor, NestedSubmissionDoesNotDeadlock) {
-  // A body fans a parallel_for over the same pool. The nested call starts
-  // its own helpers, so it finishes whatever the outer call holds; at
-  // width 1 both run inline on the caller. TSan (the concurrency label)
-  // checks the joins while it runs.
-  constexpr std::size_t kOuter = 6;
+TEST(ParallelForChunked, NestedSubmissionDoesNotDeadlock) {
+  // A body fans a parallel_for over the same pool, with more outer indices
+  // than helpers. The nested call starts its own helpers, so it finishes
+  // whatever the outer call holds. TSan (the concurrency label) checks the
+  // joins while it runs.
+  ThreadPool pool(3);
+  constexpr std::size_t kOuter = 6;  // > width: helpers claim several
   constexpr std::size_t kInner = 64;
-  for (const std::size_t width : {std::size_t{1}, std::size_t{3}}) {
-    ThreadPool pool(width);
-    std::vector<std::array<std::atomic<int>, kInner>> visits(kOuter);
-    std::atomic<int> outer_done{0};
-    parallel_for(pool, kOuter, [&](std::size_t o) {
-      parallel_for(pool, kInner,
-                   [&visits, o](std::size_t i) { visits[o][i].fetch_add(1); });
-      outer_done.fetch_add(1);
-    });
-    EXPECT_EQ(outer_done.load(), static_cast<int>(kOuter));
-    for (std::size_t o = 0; o < kOuter; ++o) {
-      for (std::size_t i = 0; i < kInner; ++i) {
-        ASSERT_EQ(visits[o][i].load(), 1)
-            << "width " << width << " outer " << o << " inner " << i;
-      }
+  std::vector<std::array<std::atomic<int>, kInner>> visits(kOuter);
+  std::atomic<int> outer_done{0};
+  parallel_for(pool, kOuter, [&](std::size_t o) {
+    parallel_for(pool, kInner,
+                 [&visits, o](std::size_t i) { visits[o][i].fetch_add(1); });
+    outer_done.fetch_add(1);
+  });
+  EXPECT_EQ(outer_done.load(), static_cast<int>(kOuter));
+  for (std::size_t o = 0; o < kOuter; ++o) {
+    for (std::size_t i = 0; i < kInner; ++i) {
+      ASSERT_EQ(visits[o][i].load(), 1) << "outer " << o << " inner " << i;
     }
   }
+}
+
+TEST(ParallelForChunked, NestedFromSingleWorkerRunsInline) {
+  // Worst case: a width-1 pool whose only participant, the caller, issues
+  // the nested call. Nothing else can help, so the caller must run every
+  // index of both calls itself and return.
+  ThreadPool pool(1);
+  constexpr std::size_t kOuter = 3;
+  constexpr std::size_t kInner = 100;
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> count{0};
+  std::atomic<int> off_caller{0};
+  parallel_for(pool, kOuter, [&](std::size_t) {
+    parallel_for(pool, kInner, [&](std::size_t) {
+      count.fetch_add(1);
+      if (std::this_thread::get_id() != caller) off_caller.fetch_add(1);
+    });
+  });
+  EXPECT_EQ(count.load(), static_cast<int>(kOuter * kInner));
+  EXPECT_EQ(off_caller.load(), 0);
 }
 
 TEST(ParallelFor, BodyExceptionReachesTheCaller) {
