@@ -2,11 +2,12 @@
 """Drift check: every observability identifier the code can emit must be
 documented in docs/OBSERVABILITY.md.
 
-Parses the stable snake_case names out of the name-mapping switch
-statements (`return "...";`) in:
+Parses the stable snake_case names out of:
 
-  src/obs/counters.cpp   counter_name() + hist_name()
-  src/obs/ledger.cpp     ledger_field_name()
+  src/obs/counters.cpp   counter_name() + hist_name()   (`return "...";`)
+  src/obs/ledger.cpp     the ledger field table          (`{"...",` rows)
+  src/obs/profile.cpp    category_name(), the manifest's wall categories
+  src/obs/trace.cpp      event_kind_name(), the trace's event kinds
 
 and requires each to appear in docs/OBSERVABILITY.md wrapped in backticks
 (the catalogue-table convention). Registered as the `check_counter_docs`
@@ -24,18 +25,24 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 DOC = REPO / "docs" / "OBSERVABILITY.md"
-SOURCES = [
-    REPO / "src" / "obs" / "counters.cpp",
-    REPO / "src" / "obs" / "ledger.cpp",
-]
-
+# Name-mapping switch arms: `return "hello_tx";`.
 RETURN_NAME_RE = re.compile(r'return\s+"([a-z0-9_]+)"\s*;')
+# Ledger field table rows: `{"total_seconds",`.
+TABLE_NAME_RE = re.compile(r'\{"([a-z0-9_]+)",')
+
+OBS = REPO / "src" / "obs"
+SOURCES = [
+    (OBS / "counters.cpp", RETURN_NAME_RE),
+    (OBS / "ledger.cpp", TABLE_NAME_RE),
+    (OBS / "profile.cpp", RETURN_NAME_RE),
+    (OBS / "trace.cpp", RETURN_NAME_RE),
+]
 # The fallback arm of every name-mapping switch, not a real identifier.
 IGNORED = {"unknown"}
 
 
-def emitted_names(source: Path) -> set[str]:
-    names = set(RETURN_NAME_RE.findall(source.read_text(encoding="utf-8")))
+def emitted_names(source: Path, pattern: re.Pattern[str]) -> set[str]:
+    names = set(pattern.findall(source.read_text(encoding="utf-8")))
     return names - IGNORED
 
 
@@ -49,11 +56,11 @@ def main() -> int:
 
     failures: list[str] = []
     total = 0
-    for source in SOURCES:
+    for source, pattern in SOURCES:
         if not source.is_file():
             print(f"check_counter_docs: missing {source}", file=sys.stderr)
             return 2
-        names = emitted_names(source)
+        names = emitted_names(source, pattern)
         if not names:
             print(f"check_counter_docs: no names parsed from {source} — "
                   "has the name-mapping layout changed?", file=sys.stderr)

@@ -52,7 +52,7 @@ std::vector<bool> wu_li_marking(const graph::Graph& g,
       }
     }
     if (marked[u] && probe != nullptr) {
-      probe->count_node(obs::Counter::kCdsMarked, u);
+      probe->count(obs::Counter::kCdsMarked);
     }
   }
   return marked;
@@ -73,7 +73,7 @@ std::vector<bool> prune(const graph::Graph& g, std::vector<bool> marked,
       const NodeId v = e.to;
       if (marked[v] && v > u && subset(closed[u], closed[v])) {
         marked[u] = false;
-        if (probe != nullptr) probe->count_node(obs::Counter::kCdsPruned, u);
+        if (probe != nullptr) probe->count(obs::Counter::kCdsPruned);
         break;
       }
     }
@@ -91,9 +91,7 @@ std::vector<bool> prune(const graph::Graph& g, std::vector<bool> marked,
         if (w == v || !marked[w] || w <= u || !g.has_edge(v, w)) continue;
         if (subset(open[u], set_union(closed[v], closed[w]))) {
           marked[u] = false;
-          if (probe != nullptr) {
-            probe->count_node(obs::Counter::kCdsPruned, u);
-          }
+          if (probe != nullptr) probe->count(obs::Counter::kCdsPruned);
           pruned = true;
           break;
         }
@@ -188,7 +186,7 @@ std::size_t forward_count(const graph::Graph& g,
   const std::size_t transmissions =
       simulate_broadcast(g, in_set, source).second;
   if (probe != nullptr) {
-    probe->count_node(obs::Counter::kBroadcastForwards, source, transmissions);
+    probe->count(obs::Counter::kBroadcastForwards, transmissions);
   }
   return transmissions;
 }

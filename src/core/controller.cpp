@@ -41,7 +41,7 @@ HelloRecord NodeController::on_hello_send(double now, geom::Vec2 true_position,
   store_.record(hello);
   ++hellos_sent_;
   if (probe_ != nullptr) {
-    probe_->count_node(obs::Counter::kHelloTx, id_);
+    probe_->count(obs::Counter::kHelloTx);
     probe_->trace(obs::EventKind::kHelloTx, now, id_, 0.0, version);
   }
   post_send_refresh(now, version);
@@ -72,7 +72,7 @@ void NodeController::on_hello_receive(const HelloRecord& hello, double now) {
   store_.record(hello);
   store_.expire(now);
   if (probe_ != nullptr) {
-    probe_->count_node(obs::Counter::kHelloRx, id_);
+    probe_->count(obs::Counter::kHelloRx);
     probe_->trace(obs::EventKind::kHelloRx, now, id_, 0.0, hello.sender);
   }
 }
@@ -83,7 +83,7 @@ void NodeController::refresh_selection(double now) {
   const obs::ScopedTimer timer(
       probe_ != nullptr ? probe_->profiler() : nullptr,
       obs::Category::kViewAssembly);
-  if (probe_ != nullptr) probe_->count_node(obs::Counter::kViewSyncs, id_);
+  if (probe_ != nullptr) probe_->count(obs::Counter::kViewSyncs);
   store_.expire(now);
   if (!store_.latest(id_)) return;  // nothing advertised yet
   store_.track_version(std::nullopt);
@@ -104,7 +104,7 @@ void NodeController::refresh_selection_versioned(double now,
   const obs::ScopedTimer timer(
       probe_ != nullptr ? probe_->profiler() : nullptr,
       obs::Category::kViewAssembly);
-  if (probe_ != nullptr) probe_->count_node(obs::Counter::kViewSyncs, id_);
+  if (probe_ != nullptr) probe_->count(obs::Counter::kViewSyncs);
   store_.expire(now);
   // Owner lacking the pinned version keeps the prior selection (the
   // paper's "wait before migrating to the next local view") and must
@@ -125,7 +125,7 @@ bool NodeController::cache_hit() const {
     return false;
   }
   if (probe_ != nullptr) {
-    probe_->count_node(obs::Counter::kTopologyRecomputeSkips, id_);
+    probe_->count(obs::Counter::kTopologyRecomputeSkips);
   }
   return true;  // same inputs => same selection; keep it as-is
 }
@@ -162,22 +162,21 @@ void NodeController::apply_selection(const topology::ViewGraph& view,
   selection_generation_ = store_.generation();
 
   if (observing) {
-    probe_->count_node(obs::Counter::kTopologyRecomputes, id_);
-    probe_->count_node(obs::Counter::kViewLinksEvaluated, id_,
-                       view.links_evaluated());
+    probe_->count(obs::Counter::kTopologyRecomputes);
+    probe_->count(obs::Counter::kViewLinksEvaluated, view.links_evaluated());
     probe_->trace(obs::EventKind::kTopologyRecompute, now, id_, actual_range_,
                   logical_.size());
     // Logical neighbors present before the recompute but absent after:
     // the link-removal churn weak consistency is designed to suppress.
     for (NodeId neighbor : previous_logical_) {
       if (!std::binary_search(logical_.begin(), logical_.end(), neighbor)) {
-        probe_->count_node(obs::Counter::kLinkRemovals, id_);
+        probe_->count(obs::Counter::kLinkRemovals);
         probe_->trace(obs::EventKind::kLinkRemoval, now, id_, 0.0, neighbor);
       }
     }
     const double extended = extended_range();
     if (extended > previous_extended) {
-      probe_->count_node(obs::Counter::kBufferZoneExpansions, id_);
+      probe_->count(obs::Counter::kBufferZoneExpansions);
       probe_->trace(obs::EventKind::kBufferZoneExpansion, now, id_, extended,
                     0);
     }

@@ -63,11 +63,6 @@ namespace mstc::core {
   return d;
 }
 
-/// Fleets below this size stay on the brute-force scan in
-/// effective_snapshot (grid build overhead dominates under the crossover;
-/// mirrors sim::Medium::Config::grid_min_nodes).
-inline constexpr std::size_t kSnapshotGridMinNodes = 150;
-
 /// Grid query radius that conservatively covers `range` against the
 /// floating-point rounding of both exact predicates the snapshot layer
 /// re-applies afterwards: distance_sq(u, v) <= range * range (physical

@@ -19,6 +19,13 @@
 
 namespace mstc::graph {
 
+/// Fleet size below which the medium and the snapshot measurement scan
+/// every node instead of building a SpatialGrid: under ~150 nodes the
+/// build costs more than the grid prunes (see docs/PERFORMANCE.md and the
+/// BENCH_medium.json n = 100 row). Results are bit-identical on both sides
+/// of the crossover.
+inline constexpr std::size_t kGridMinNodes = 150;
+
 class SpatialGrid {
  public:
   /// Empty grid over no points; rebuild() before querying.

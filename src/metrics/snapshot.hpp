@@ -45,10 +45,9 @@ struct SnapshotStats {
 /// at the scenario level).
 struct SnapshotConfig {
   bool brute_force = false;
-  /// Fleets below this size stay on the brute-force scan (grid build
-  /// overhead dominates under the crossover, mirroring the medium's
-  /// grid_min_nodes threshold).
-  std::size_t grid_min_nodes = 150;
+  /// Fleets below this size stay on the brute-force scan (see
+  /// graph::kGridMinNodes).
+  std::size_t grid_min_nodes = graph::kGridMinNodes;
 };
 
 /// Reusable measurement buffers: spatial grid, candidate list, union-find

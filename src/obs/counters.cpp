@@ -150,14 +150,6 @@ void CounterRegistry::merge(const CounterRegistry& other) {
   for (std::size_t c = 0; c < kCounterCount; ++c) {
     totals_[c] += other.totals_[c];
   }
-  if (other.per_node_.size() > per_node_.size()) {
-    per_node_.resize(other.per_node_.size());
-  }
-  for (std::size_t node = 0; node < other.per_node_.size(); ++node) {
-    for (std::size_t c = 0; c < kCounterCount; ++c) {
-      per_node_[node][c] += other.per_node_[node][c];
-    }
-  }
   for (std::size_t h = 0; h < kHistCount; ++h) {
     histograms_[h].merge(other.histograms_[h]);
   }

@@ -2,11 +2,12 @@
 //
 // The observability layer's accounting substrate: a fixed catalogue of
 // protocol-level counters (Hello exchanges, view synchronizations, link
-// removals, ...) kept at per-node and global scope, plus a small set of
-// sim-time histograms. One CounterRegistry belongs to exactly one
-// simulation run, so counting needs no synchronization; parallel sweeps
-// give every replication its own registry and merge the slots afterwards
-// in deterministic task order (see runner::SweepHooks).
+// removals, ...) kept as run totals, plus a small set of sim-time
+// histograms. Which node did what is the trace's job: every trace and
+// flight-recorder record carries its node id. One CounterRegistry belongs
+// to exactly one simulation run, so counting needs no synchronization;
+// parallel sweeps give every replication its own registry and merge the
+// slots afterwards in deterministic task order (see runner::SweepHooks).
 //
 // Counting never feeds back into simulation state, so enabling it cannot
 // change results — the determinism suite byte-compares runs with
@@ -101,7 +102,7 @@ class Histogram {
   double sum_ = 0.0;
 };
 
-/// Per-run registry of every counter (global + per-node) and histogram.
+/// Per-run registry of every counter total and histogram.
 ///
 /// Thread model: deliberately lock-free because it is thread-confined, not
 /// shared — exactly one replication (one sweep task) owns a registry, and
@@ -114,30 +115,12 @@ class CounterRegistry {
  public:
   CounterRegistry();
 
-  /// Bumps the global total only.
   void add(Counter counter, std::uint64_t delta = 1) noexcept {
     totals_[static_cast<std::size_t>(counter)] += delta;
   }
 
-  /// Bumps the global total and the per-node scope (grown on demand).
-  void add_node(Counter counter, std::size_t node, std::uint64_t delta = 1) {
-    totals_[static_cast<std::size_t>(counter)] += delta;
-    if (node >= per_node_.size()) per_node_.resize(node + 1);
-    per_node_[node][static_cast<std::size_t>(counter)] += delta;
-  }
-
   [[nodiscard]] std::uint64_t total(Counter counter) const noexcept {
     return totals_[static_cast<std::size_t>(counter)];
-  }
-  /// Number of node slots touched so far (highest node id + 1).
-  [[nodiscard]] std::size_t node_count() const noexcept {
-    return per_node_.size();
-  }
-  /// Per-node total; 0 for nodes never counted.
-  [[nodiscard]] std::uint64_t node_total(Counter counter,
-                                         std::size_t node) const noexcept {
-    if (node >= per_node_.size()) return 0;
-    return per_node_[node][static_cast<std::size_t>(counter)];
   }
 
   [[nodiscard]] Histogram& histogram(Hist hist) noexcept {
@@ -147,13 +130,12 @@ class CounterRegistry {
     return histograms_[static_cast<std::size_t>(hist)];
   }
 
-  /// Adds every total, per-node slot and histogram of `other` into this
-  /// registry (used to fold per-replication registries into sweep totals).
+  /// Adds every total and histogram of `other` into this registry (used to
+  /// fold per-replication registries into sweep totals).
   void merge(const CounterRegistry& other);
 
  private:
   std::array<std::uint64_t, kCounterCount> totals_{};
-  std::vector<std::array<std::uint64_t, kCounterCount>> per_node_;
   std::array<Histogram, kHistCount> histograms_;
 };
 

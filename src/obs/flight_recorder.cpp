@@ -2,9 +2,8 @@
 
 #include <cinttypes>
 
-#include "obs/counters.hpp"
-#include "obs/ledger.hpp"
 #include "obs/manifest.hpp"
+#include "obs/probe.hpp"
 
 namespace mstc::obs {
 
@@ -61,30 +60,31 @@ void PostMortemWriter::write(const PostMortem& incident) {
     std::fprintf(file_, ",\"config\":\"%s\"",
                  json_escape(incident.config_summary).c_str());
   }
-  if (incident.ledger != nullptr && incident.ledger->captured) {
+  const RunObservation* slot = incident.observation;
+  if (slot != nullptr && slot->ledger.captured) {
     std::fprintf(file_, ",\"ledger\":{");
     for (std::size_t f = 0; f < kLedgerFieldCount; ++f) {
       const auto field = static_cast<LedgerField>(f);
       std::fprintf(file_, "%s\"%s\":%.9g", f == 0 ? "" : ",",
-                   ledger_field_name(field), incident.ledger->value(field));
+                   ledger_field_name(field), ledger_value(*slot, field));
     }
     std::fprintf(file_, "}");
   }
-  if (incident.counters != nullptr) {
+  if (slot != nullptr) {
     std::fprintf(file_, ",\"counters\":{");
     for (std::size_t c = 0; c < kCounterCount; ++c) {
       const auto counter = static_cast<Counter>(c);
       std::fprintf(file_, "%s\"%s\":%" PRIu64, c == 0 ? "" : ",",
-                   counter_name(counter), incident.counters->total(counter));
+                   counter_name(counter), slot->counters.total(counter));
     }
     std::fprintf(file_, "}");
   }
-  if (incident.flight != nullptr && incident.flight->capacity() > 0) {
+  if (slot != nullptr && slot->flight.capacity() > 0) {
     std::vector<TraceEvent> ring;
-    incident.flight->snapshot(ring);
+    slot->flight.snapshot(ring);
     std::fprintf(file_,
                  ",\"flight_total_recorded\":%" PRIu64 ",\"flight\":[",
-                 incident.flight->total_recorded());
+                 slot->flight.total_recorded());
     for (std::size_t i = 0; i < ring.size(); ++i) {
       const TraceEvent& event = ring[i];
       std::fprintf(file_,

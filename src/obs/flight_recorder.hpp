@@ -28,16 +28,14 @@
 
 namespace mstc::obs {
 
-struct RunLedger;
-class CounterRegistry;
+struct RunObservation;
 
 /// Bounded ring of recent trace events; one per replication (thread-
-/// confined like MemoryTraceSink, so no locking).
+/// confined like MemoryTraceSink, so no locking). Recording is on exactly
+/// when the capacity is above 0; a default-constructed ring records
+/// nothing.
 class FlightRecorder {
  public:
-  /// Default ring depth when a sweep enables flight recording.
-  static constexpr std::size_t kDefaultCapacity = 256;
-
   /// Sizes the ring (allocating its full capacity up front) and clears any
   /// recorded history. Capacity 0 disables recording.
   void set_capacity(std::size_t capacity);
@@ -71,8 +69,7 @@ class FlightRecorder {
   std::uint64_t total_recorded_ = 0;
 };
 
-/// One diagnosed incident, assembled by the sweep runner. Pointer fields
-/// are optional; null sections are omitted from the dump.
+/// One diagnosed incident, assembled by the sweep runner.
 struct PostMortem {
   std::size_t config_index = 0;
   std::size_t replication = 0;
@@ -86,9 +83,10 @@ struct PostMortem {
   /// One-line config description (the runner renders it; obs stays
   /// independent of the config type).
   std::string config_summary;
-  const RunLedger* ledger = nullptr;
-  const CounterRegistry* counters = nullptr;
-  const FlightRecorder* flight = nullptr;
+  /// The replication's observation slot; null when the sweep kept none.
+  /// Its counter totals are always dumped, its ledger once captured and
+  /// its flight ring when recording was on.
+  const RunObservation* observation = nullptr;
 };
 
 /// Shared JSONL sink for post-mortems; thread-safe (see file comment).

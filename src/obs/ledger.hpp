@@ -1,11 +1,13 @@
 // Per-replication resource ledger and sweep-level aggregation.
 //
-// A RunLedger answers "where did this replication's resources go": wall
+// The ledger answers "where did this replication's resources go": wall
 // time split by the profiler's phases (setup / trace_gen / event loop /
-// snapshot), event and allocation counts, cache hit rates, and the
-// process's peak RSS at completion. Ledgers are derived from an existing
-// RunObservation after the run finishes — capturing one reads simulation
-// outputs and machine facts, never feeds anything back, so ledger-on runs
+// snapshot), the events processed, cache hit rates, and the process's peak
+// RSS at completion. Each field is read from a finished replication's
+// RunObservation: its name and formula are written once, in ledger.cpp,
+// over the observation's profiler and counters. The only values the slot
+// stores for the ledger are the two the sweep alone measures, in
+// RunLedger. Reading a ledger never feeds anything back, so ledger-on runs
 // stay byte-identical to ledger-off runs (the determinism suite asserts
 // it). Like all wall-clock observability data, ledger fields are excluded
 // from the determinism byte-compare surface.
@@ -25,17 +27,6 @@ namespace mstc::obs {
 
 struct RunObservation;
 
-/// Optional process-wide allocation counter hook. Binaries that replace
-/// global operator new with a counting hook (e.g. bench_kernel) register a
-/// reader here so ledgers can report allocation deltas; everything else
-/// reports 0. The counter is process-wide, so under parallel sweeps the
-/// delta attributes concurrent replications' allocations to each other —
-/// useful as a steady-state health signal, not an exact per-run figure.
-using AllocationCounterFn = std::uint64_t (*)();
-void set_allocation_counter(AllocationCounterFn counter) noexcept;
-/// Current process-wide allocation count; 0 when no hook is installed.
-[[nodiscard]] std::uint64_t allocation_count() noexcept;
-
 /// Scalar ledger fields, enumerable for export (JSONL / Prometheus) and
 /// aggregation. Names are stable snake_case identifiers (see
 /// docs/OBSERVABILITY.md); tests pin them.
@@ -46,7 +37,6 @@ enum class LedgerField : std::size_t {
   kSimSeconds,       ///< event-loop wall time
   kSnapshotSeconds,  ///< snapshot-handler wall time (kSnapshot phase)
   kEvents,           ///< simulator events processed
-  kAllocations,      ///< allocation-hook delta over the replication
   kPeakRssBytes,     ///< process peak RSS at completion (monotonic)
   kRecomputeHitRate,   ///< recompute-cache skips / refresh decisions
   kTraceCacheHitRate,  ///< trace-cache hits / acquisitions
@@ -67,38 +57,20 @@ inline constexpr std::size_t kLedgerFieldCount =
 /// Stable snake_case identifier (the JSON / Prometheus key) of a field.
 [[nodiscard]] const char* ledger_field_name(LedgerField field) noexcept;
 
-/// Resource accounting for one completed replication.
+/// What the sweep alone measures about one replication; every other ledger
+/// field is read from the same slot's profiler and counters. The sweep
+/// runner fills it in after the run completes.
 struct RunLedger {
-  std::uint64_t total_wall_ns = 0;  ///< task start to task end
-  std::uint64_t setup_ns = 0;
-  std::uint64_t trace_gen_ns = 0;
-  std::uint64_t sim_ns = 0;       ///< event-loop wall (Profiler::run_wall_ns)
-  std::uint64_t snapshot_ns = 0;  ///< kSnapshot handler-category wall
-  std::uint64_t events = 0;
-  std::uint64_t allocations = 0;  ///< 0 unless an allocation hook is set
-  std::uint64_t peak_rss_bytes = 0;
-  double recompute_hit_rate = 0.0;
-  double trace_cache_hit_rate = 0.0;
-  double grid_hit_rate = 0.0;
-  std::uint64_t medium_query_ns = 0;     ///< kMediumQuery category wall
-  std::uint64_t view_assembly_ns = 0;    ///< kViewAssembly category wall
-  std::uint64_t protocol_select_ns = 0;  ///< kProtocolSelect category wall
-  std::uint64_t delivery_ns = 0;         ///< kDelivery category wall
-  bool captured = false;  ///< capture() ran (distinguishes empty slots)
-
-  /// Derives every field from a finished run's observation. Phase splits
-  /// come from the observation's profiler (zero when profiling was off);
-  /// hit rates come from its counter registry. `total_wall_ns` is the
-  /// caller-measured replication wall time and `peak_rss` the caller's
-  /// util::peak_rss_bytes() reading (passed in so this TU reads no clocks
-  /// or machine state itself). `allocations_before` is the caller's
-  /// allocation_count() snapshot at replication start.
-  void capture(const RunObservation& observation, std::uint64_t wall_ns,
-               std::uint64_t peak_rss, std::uint64_t allocations_before);
-
-  /// Field value in export units (seconds for the *_ns fields).
-  [[nodiscard]] double value(LedgerField field) const noexcept;
+  std::uint64_t total_wall_ns = 0;   ///< task start to task end
+  std::uint64_t peak_rss_bytes = 0;  ///< util::peak_rss_bytes() at the end
+  bool captured = false;  ///< the two readings above were taken
 };
+
+/// Value of `field` for a finished replication, in export units (seconds
+/// for wall times). Phase splits read the observation's profiler (zero
+/// when profiling was off), rates its counters.
+[[nodiscard]] double ledger_value(const RunObservation& observation,
+                                  LedgerField field) noexcept;
 
 /// One aggregated statistic of a ledger field across replications.
 struct LedgerStat {
@@ -120,10 +92,9 @@ struct LedgerStat {
 /// joins, or behind the MetricsExporter's lock.
 class LedgerSummary {
  public:
-  /// Folds one replication's ledger in (ignores never-captured ledgers).
-  void add(const RunLedger& ledger);
-  /// Folds another summary's samples in.
-  void merge(const LedgerSummary& other);
+  /// Folds one finished replication's ledger in (ignores slots whose ledger
+  /// was never captured).
+  void add(const RunObservation& observation);
 
   [[nodiscard]] std::size_t count() const noexcept {
     return samples_[0].size();

@@ -29,7 +29,6 @@ MetricsExporter::~MetricsExporter() { close(); }
 bool MetricsExporter::open(const Options& options) {
   util::MutexLock lock(mutex_);
   options_ = options;
-  if (options_.flush_every == 0) options_.flush_every = 1;
   started_ns_ = wall_now_ns();
   if (jsonl_ != nullptr) {
     std::fclose(jsonl_);
@@ -41,7 +40,7 @@ bool MetricsExporter::open(const Options& options) {
   }
   if (!options_.prom_path.empty()) {
     // Probe writability up front so a bad path fails at open, not at the
-    // first flush deep inside a sweep.
+    // first snapshot deep inside a sweep.
     std::FILE* prom = std::fopen(options_.prom_path.c_str(), "w");
     if (prom == nullptr) return false;
     std::fclose(prom);
@@ -64,17 +63,8 @@ void MetricsExporter::record(const RunObservation& observation) {
   util::MutexLock lock(mutex_);
   totals_.merge(observation.counters);
   profiler_.merge(observation.profiler);
-  ledger_.add(observation.ledger);
+  ledger_.add(observation);
   ++completed_;
-  if (++since_flush_ >= options_.flush_every) {
-    since_flush_ = 0;
-    emit();
-  }
-}
-
-void MetricsExporter::flush() {
-  util::MutexLock lock(mutex_);
-  since_flush_ = 0;
   emit();
 }
 
@@ -121,8 +111,8 @@ void MetricsExporter::emit_jsonl() {
 
 void MetricsExporter::emit_prometheus() {
   if (options_.prom_path.empty()) return;
-  // The exposition format is a point-in-time scrape target, so each flush
-  // rewrites the whole file rather than appending.
+  // The exposition format is a point-in-time scrape target, so each
+  // snapshot rewrites the whole file rather than appending.
   std::FILE* f = std::fopen(options_.prom_path.c_str(), "w");
   if (f == nullptr) return;
   const std::string job = json_escape(options_.job);

@@ -3,11 +3,11 @@
 // A MetricsExporter is the campaign-scale view of a sweep in flight: as
 // replications complete, the runner feeds their observation slots in and
 // the exporter maintains merged counter totals, a merged wall-clock
-// profile, and the ledger summary (mean/p50/p95/max per field). Every
-// `flush_every` records — and once at destruction — it appends one JSON
-// line to the JSONL stream and rewrites the Prometheus text-exposition
-// file, so `tail -f` and a Prometheus file-based scrape both work while
-// the sweep runs.
+// profile, and the ledger summary (mean/p50/p95/max per field). After
+// every record — and once more at close — it appends one JSON line to the
+// JSONL stream and rewrites the Prometheus text-exposition file, so
+// `tail -f` and a Prometheus file-based scrape both work while the sweep
+// runs.
 //
 // Determinism: the exporter only ever reads observation slots of FINISHED
 // replications (the sweep runner calls record() after run_scenario
@@ -39,9 +39,6 @@ class MetricsExporter {
     std::string jsonl_path;
     /// Prometheus text-exposition path; empty disables it.
     std::string prom_path;
-    /// Emit every N record() calls (>= 1); the destructor always emits a
-    /// final snapshot so short sweeps still produce output.
-    std::size_t flush_every = 1;
     /// Job label stamped on every JSONL line / Prometheus series.
     std::string job = "mstc";
   };
@@ -52,17 +49,14 @@ class MetricsExporter {
   MetricsExporter& operator=(const MetricsExporter&) = delete;
 
   /// Opens the configured outputs (JSONL truncated, Prometheus rewritten
-  /// per flush); false when any configured path cannot be opened.
+  /// per snapshot); false when any configured path cannot be opened.
   [[nodiscard]] bool open(const Options& options);
-  /// Final flush + close; safe to call repeatedly.
+  /// Final snapshot + close; safe to call repeatedly.
   void close();
 
   /// Folds one finished replication's observation into the aggregates and
-  /// emits a snapshot when the flush cadence says so.
+  /// emits a snapshot of them.
   void record(const RunObservation& observation);
-
-  /// Forces a snapshot of the current aggregates to both outputs.
-  void flush();
 
   /// Replications recorded so far.
   [[nodiscard]] std::size_t completed() const;
@@ -79,7 +73,6 @@ class MetricsExporter {
   Profiler profiler_ MSTC_GUARDED_BY(mutex_);
   LedgerSummary ledger_ MSTC_GUARDED_BY(mutex_);
   std::size_t completed_ MSTC_GUARDED_BY(mutex_) = 0;
-  std::size_t since_flush_ MSTC_GUARDED_BY(mutex_) = 0;
   std::uint64_t started_ns_ MSTC_GUARDED_BY(mutex_) = 0;
 };
 

@@ -70,7 +70,6 @@ class MemoryTraceSink {
   }
   [[nodiscard]] std::size_t size() const noexcept { return events_.size(); }
   [[nodiscard]] bool empty() const noexcept { return events_.empty(); }
-  void clear() noexcept { events_.clear(); }
 
  private:
   std::vector<TraceEvent> events_;

@@ -99,7 +99,7 @@ class EpidemicSim {
   void beacon(NodeId u) {
     const obs::ScopedTimer timer(probe_.profiler(), obs::Category::kContact);
     const double now = simulator_.now();
-    probe_.count_node(obs::Counter::kHelloTx, u);
+    probe_.count(obs::Counter::kHelloTx);
     // A beacon == a contact opportunity: every node in range pulls the
     // copies it lacks from u (ideal anti-entropy; the reverse direction
     // happens on the receiver's own beacon).
@@ -121,10 +121,10 @@ class EpidemicSim {
       if (seen_[carried.message][to]) continue;
       seen_[carried.message][to] = 1;
       ++m.copies;
-      probe_.count_node(obs::Counter::kEpidemicTransfers, to);
+      probe_.count(obs::Counter::kEpidemicTransfers);
       if (m.destination == to) {
         m.delivered_at = now;
-        probe_.count_node(obs::Counter::kEpidemicDeliveries, to);
+        probe_.count(obs::Counter::kEpidemicDeliveries);
         probe_.observe(obs::Hist::kEpidemicDelay, now - m.injected_at);
         probe_.trace(obs::EventKind::kEpidemicDelivery, now, to,
                      now - m.injected_at, carried.message);

@@ -243,7 +243,7 @@ class Scenario {
     last_hello_version_[u] = round;
     broadcast_hello(u, round, now);
     ++control_transmissions_;  // the separate initiation forward
-    probe_.count_node(obs::Counter::kSyncFloodForwards, u);
+    probe_.count(obs::Counter::kSyncFloodForwards);
     probe_.trace(obs::EventKind::kSyncContact, now, u, 0.0, round);
     // Forward the initiation (flooding: every node forwards once).
     if (channel_) {
@@ -274,7 +274,7 @@ class Scenario {
     if (channel_) {
       channel_->transmit(u, cfg_.normal_range, kHelloBits,
                          [this, hello](NodeId v) {
-                           if (drop_by_loss_injection(v)) return;
+                           if (drop_by_loss_injection()) return;
                            nodes_[v].on_hello_receive(hello,
                                                       simulator_.now());
                          });
@@ -291,7 +291,7 @@ class Scenario {
     // sequence) keys byte-for-byte.
     fanout_receivers_.clear();
     for (NodeId v : receiver_buffer_) {
-      if (drop_by_loss_injection(v)) continue;
+      if (drop_by_loss_injection()) continue;
       fanout_receivers_.push_back(static_cast<std::uint32_t>(v));
     }
     auto deliver = [this, hello, at](std::uint32_t v) {
@@ -305,12 +305,10 @@ class Scenario {
   }
 
   /// Independent per-reception Hello loss (failure injection).
-  [[nodiscard]] bool drop_by_loss_injection(NodeId receiver) {
+  [[nodiscard]] bool drop_by_loss_injection() {
     const bool dropped =
         cfg_.hello_loss > 0.0 && loss_rng_.bernoulli(cfg_.hello_loss);
-    if (dropped) {
-      probe_.count_node(obs::Counter::kHelloLossDrops, receiver);
-    }
+    if (dropped) probe_.count(obs::Counter::kHelloLossDrops);
     return dropped;
   }
 
@@ -374,7 +372,7 @@ class Scenario {
     }
     flood.received[v] = 1;
     ++flood.count;
-    probe_.count_node(obs::Counter::kFloodDeliveries, v);
+    probe_.count(obs::Counter::kFloodDeliveries);
     probe_.trace(obs::EventKind::kFloodDelivery, simulator_.now(), v, 0.0,
                  index);
     forward_flood(index, v);
@@ -382,7 +380,7 @@ class Scenario {
 
   void forward_flood(std::size_t index, NodeId u) {
     const double now = simulator_.now();
-    probe_.count_node(obs::Counter::kBroadcastForwards, u);
+    probe_.count(obs::Counter::kBroadcastForwards);
     Flood& flood = floods_[index];
     // On-the-fly selection updates at every packet transmission:
     if (cfg_.mode == core::ConsistencyMode::kViewSync) {

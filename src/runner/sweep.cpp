@@ -44,11 +44,7 @@ void dump_postmortem(obs::PostMortemWriter& writer, const SweepHooks& hooks,
   incident.wall_seconds = wall_seconds;
   incident.soft_deadline_seconds = hooks.soft_deadline_seconds;
   incident.config_summary = config_summary(cfg);
-  if (slot != nullptr) {
-    incident.counters = &slot->counters;
-    if (slot->ledger.captured) incident.ledger = &slot->ledger;
-    if (slot->flight_on) incident.flight = &slot->flight;
-  }
+  incident.observation = slot;
   writer.write(incident);
 }
 
@@ -68,8 +64,7 @@ std::vector<metrics::RunStats> run_batch_raw(
       // The ledger's phase split reads the profiler, so ledger implies
       // profile.
       slot.profile_on = hooks.profile || hooks.ledger;
-      slot.flight_on = hooks.flight;
-      if (hooks.flight) slot.flight.set_capacity(hooks.flight_capacity);
+      slot.flight.set_capacity(hooks.flight_capacity);
     }
     slots = hooks.observations->data();
   }
@@ -99,8 +94,6 @@ std::vector<metrics::RunStats> run_batch_raw(
     cfg.seed = util::derive_seed(cfg.seed, replication + 1);
     obs::RunObservation* slot = slots != nullptr ? &slots[task] : nullptr;
     const std::uint64_t task_start = time_tasks ? obs::wall_now_ns() : 0;
-    const std::uint64_t allocations_before =
-        ledger_on ? obs::allocation_count() : 0;
     try {
       results[task] = run_scenario(cfg, slot);
     } catch (const std::exception& error) {
@@ -118,8 +111,7 @@ std::vector<metrics::RunStats> run_batch_raw(
     const std::uint64_t task_wall_ns =
         time_tasks ? obs::wall_now_ns() - task_start : 0;
     if (ledger_on) {
-      slot->ledger.capture(*slot, task_wall_ns, util::peak_rss_bytes(),
-                           allocations_before);
+      slot->ledger = {task_wall_ns, util::peak_rss_bytes(), true};
     }
     if (watchdog_on) {
       const double wall_seconds = static_cast<double>(task_wall_ns) * 1e-9;

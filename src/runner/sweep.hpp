@@ -52,15 +52,16 @@ struct SweepHooks {
   std::vector<obs::RunObservation>* observations = nullptr;
   bool trace = false;    ///< record per-event traces into the slots
   bool profile = false;  ///< record wall-clock profiling into the slots
-  /// Capture a per-replication resource ledger into each slot after its
-  /// run completes (implies profile: the ledger's phase split needs the
-  /// profiler). Requires `observations`.
+  /// Record each replication's wall time and peak RSS into its slot's
+  /// ledger after the run completes; the other ledger fields are read from
+  /// the slot's profiler and counters (implies profile: the ledger's phase
+  /// split needs the profiler). Requires `observations`.
   bool ledger = false;
-  /// Keep a bounded ring of each replication's most recent trace events
-  /// (obs::FlightRecorder) for post-mortems. O(1) memory per slot,
-  /// independent of `trace`. Requires `observations`.
-  bool flight = false;
-  std::size_t flight_capacity = obs::FlightRecorder::kDefaultCapacity;
+  /// Ring depth of each slot's flight recorder: the replication's most
+  /// recent trace events, kept for post-mortems. 0 (the default) turns
+  /// flight recording off. O(1) memory per slot, independent of `trace`.
+  /// Requires `observations`.
+  std::size_t flight_capacity = 0;
   /// Soft per-replication wall-clock deadline (seconds; 0 disables).
   /// Checked when the replication finishes — it cannot interrupt a run,
   /// only flag it — and exceeding it dumps a post-mortem. Requires

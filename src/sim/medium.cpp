@@ -8,10 +8,19 @@
 
 namespace mstc::sim {
 
+namespace {
+
+/// The index is rebuilt when the mobility slack 2 * v_max * |t - t0|
+/// exceeds this fraction of the query radius. Smaller values rebuild more
+/// often but keep the candidate radius tight; 0 would rebuild on every
+/// moving-fleet query.
+constexpr double kRebuildSlackFraction = 0.5;
+
+}  // namespace
+
 Medium::Medium(std::span<const mobility::Trace> traces, Config config)
     : traces_(traces), config_(config) {
   assert(config_.propagation_delay >= 0.0);
-  assert(config_.rebuild_slack_fraction >= 0.0);
   for (const mobility::Trace& trace : traces_) {
     max_speed_ = std::max(max_speed_, trace.max_speed());
   }
@@ -34,7 +43,7 @@ void Medium::assert_single_thread() const noexcept {
 void Medium::ensure_grid(double range, double t) const {
   const double slack = 2.0 * max_speed_ * std::abs(t - epoch_time_);
   if (grid_valid_ && range <= build_range_ &&
-      slack <= config_.rebuild_slack_fraction * build_range_) {
+      slack <= kRebuildSlackFraction * build_range_) {
     return;
   }
   positions(t, epoch_positions_);
@@ -46,7 +55,7 @@ void Medium::ensure_grid(double range, double t) const {
   // decays again when the big spenders shrink.
   build_range_ = range;
   grid_.rebuild(epoch_positions_,
-                range * (1.0 + config_.rebuild_slack_fraction));
+                range * (1.0 + kRebuildSlackFraction));
   epoch_time_ = t;
   grid_valid_ = true;
   if (probe_ != nullptr) probe_->count(obs::Counter::kMediumGridRebuilds);
@@ -111,7 +120,7 @@ void Medium::receivers(NodeId sender, double range, double t,
   if (probe_ != nullptr) {
     probe_->count(obs::Counter::kMediumCandidates, checks);
     probe_->count(obs::Counter::kMediumCandidatesAccepted, out.size());
-    probe_->count_node(obs::Counter::kMediumDeliveries, sender, out.size());
+    probe_->count(obs::Counter::kMediumDeliveries, out.size());
   }
 }
 

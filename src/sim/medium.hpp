@@ -53,19 +53,11 @@ class Medium {
     /// bench_scale.
     bool brute_force = false;
 
-    /// Fleets smaller than this use the brute scan automatically: below
-    /// ~150 nodes the index roughly breaks even (rebuild cost dominates —
-    /// see docs/PERFORMANCE.md and the BENCH_medium.json n=100 row), so
-    /// the crossover is built in. 0 forces the index for any non-empty
-    /// fleet (differential tests pin the grid path this way). Results are
+    /// Fleets smaller than this use the brute scan automatically (see
+    /// graph::kGridMinNodes). 0 forces the index for any non-empty fleet
+    /// (differential tests pin the grid path this way). Results are
     /// bit-identical on both sides of the threshold.
-    std::size_t grid_min_nodes = 150;
-
-    /// The index is rebuilt when the mobility slack 2 * v_max * |t - t0|
-    /// exceeds this fraction of the query radius. Smaller values rebuild
-    /// more often but keep the candidate radius tight; 0 disables slack
-    /// entirely (every moving-fleet query rebuilds). Must be >= 0.
-    double rebuild_slack_fraction = 0.5;
+    std::size_t grid_min_nodes = graph::kGridMinNodes;
   };
 
   /// The medium aliases `traces`; the owner must outlive it.
@@ -121,7 +113,7 @@ class Medium {
 
  private:
   /// Rebuilds the spatial index at epoch t when absent, when the mobility
-  /// slack outgrew `rebuild_slack_fraction * build_range_`, or when the
+  /// slack outgrew `kRebuildSlackFraction * build_range_`, or when the
   /// requested range exceeds the range the cells were sized for (the
   /// ratchet: a grid built for a small radius must never serve a much
   /// larger one through a storm of tiny cells).

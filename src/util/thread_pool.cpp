@@ -55,8 +55,12 @@ void parallel_for(const ThreadPool& pool, std::size_t n,
 }
 
 ThreadPool& global_pool() {
-  static ThreadPool pool(static_cast<std::size_t>(
-      env_or("MSTC_THREADS", std::int64_t{0})));
+  static ThreadPool pool([] {
+    const std::int64_t threads = env_or("MSTC_THREADS", std::int64_t{0});
+    // A negative width is malformed, like unparsable text: both fall back
+    // to the hardware default (0) instead of casting to a width near 2^64.
+    return threads > 0 ? static_cast<std::size_t>(threads) : std::size_t{0};
+  }());
   return pool;
 }
 

@@ -42,7 +42,8 @@ class ThreadPool {
 void parallel_for(const ThreadPool& pool, std::size_t n,
                   const std::function<void(std::size_t)>& body);
 
-/// Process-wide pool sized from MSTC_THREADS (default: hardware threads).
+/// Process-wide pool sized from MSTC_THREADS (default, and for a value that
+/// is not a positive integer: hardware threads).
 [[nodiscard]] ThreadPool& global_pool();
 
 }  // namespace mstc::util

@@ -191,7 +191,6 @@ TEST(Determinism, LedgerAndExporterOnDoesNotChangeResults) {
   SweepHooks hooks;
   hooks.observations = &observations;
   hooks.ledger = true;
-  hooks.flight = true;
   hooks.flight_capacity = 64;
   hooks.exporter = &exporter;
   hooks.postmortem = &postmortem;
@@ -208,7 +207,7 @@ TEST(Determinism, LedgerAndExporterOnDoesNotChangeResults) {
   EXPECT_EQ(postmortem.incidents(), 0u);
   for (const auto& observation : observations) {
     EXPECT_TRUE(observation.ledger.captured);
-    EXPECT_GT(observation.ledger.events, 0u);
+    EXPECT_GT(obs::ledger_value(observation, obs::LedgerField::kEvents), 0.0);
     EXPECT_GT(observation.ledger.total_wall_ns, 0u);
     EXPECT_GT(observation.flight.total_recorded(), 0u);
   }

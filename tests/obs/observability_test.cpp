@@ -63,28 +63,24 @@ TEST(Histogram, MergeAddsCounts) {
 }
 
 TEST(CounterRegistry, GlobalAndPerNodeScopes) {
+  // Counters keep run totals only; which node acted is in the trace.
   CounterRegistry registry;
   registry.add(Counter::kSnapshots);
-  registry.add_node(Counter::kHelloTx, 3, 2);
-  registry.add_node(Counter::kHelloTx, 0);
+  registry.add(Counter::kHelloTx, 2);
+  registry.add(Counter::kHelloTx);
   EXPECT_EQ(registry.total(Counter::kSnapshots), 1u);
   EXPECT_EQ(registry.total(Counter::kHelloTx), 3u);
-  EXPECT_EQ(registry.node_total(Counter::kHelloTx, 3), 2u);
-  EXPECT_EQ(registry.node_total(Counter::kHelloTx, 0), 1u);
-  EXPECT_EQ(registry.node_total(Counter::kHelloTx, 99), 0u);
-  EXPECT_EQ(registry.node_count(), 4u);
+  EXPECT_EQ(registry.total(Counter::kHelloRx), 0u);
 }
 
 TEST(CounterRegistry, MergeFoldsTotalsNodesAndHistograms) {
   CounterRegistry a;
   CounterRegistry b;
-  a.add_node(Counter::kHelloRx, 1);
-  b.add_node(Counter::kHelloRx, 5, 7);
+  a.add(Counter::kHelloRx);
+  b.add(Counter::kHelloRx, 7);
   b.histogram(Hist::kFloodDeliveryRatio).add(0.42);
   a.merge(b);
   EXPECT_EQ(a.total(Counter::kHelloRx), 8u);
-  EXPECT_EQ(a.node_total(Counter::kHelloRx, 5), 7u);
-  EXPECT_EQ(a.node_count(), 6u);
   EXPECT_EQ(a.histogram(Hist::kFloodDeliveryRatio).count(), 1u);
 }
 
@@ -107,7 +103,6 @@ TEST(Probe, DisabledProbeIsInert) {
   EXPECT_EQ(probe.profiler(), nullptr);
   // Must be safe no-ops.
   probe.count(Counter::kHelloTx);
-  probe.count_node(Counter::kHelloRx, 7);
   probe.observe(Hist::kEpidemicDelay, 1.0);
   probe.trace(EventKind::kHelloTx, 0.0, 0);
 }
@@ -121,7 +116,7 @@ TEST(Probe, CountsTracesAndProfilesWhenEnabled) {
   EXPECT_TRUE(probe.tracing());
   ASSERT_NE(probe.profiler(), nullptr);
 
-  probe.count_node(Counter::kHelloTx, 2);
+  probe.count(Counter::kHelloTx);
   probe.trace(EventKind::kHelloTx, 1.5, 2, 0.0, 9);
   { const ScopedTimer timer(probe.profiler(), Category::kBeaconing); }
 
@@ -198,7 +193,7 @@ TEST(TraceExport, FailsOnUnwritablePath) {
 
 TEST(Manifest, EmitsConfigCountersAndProfile) {
   CounterRegistry counters;
-  counters.add_node(Counter::kHelloTx, 0, 11);
+  counters.add(Counter::kHelloTx, 11);
   counters.histogram(Hist::kFloodDeliveryRatio).add(0.9);
   Profiler profiler;
   profiler.add(Category::kSetup, 1000);
@@ -256,6 +251,7 @@ TEST(ExactCounts, ProactiveHelloTxAndRxMatchClosedForm) {
   cfg.seed = 20040426;
 
   RunObservation observation;
+  observation.trace_on = true;  // per-node Hellos are read off the trace
   const auto stats = runner::run_scenario(cfg, &observation);
   (void)stats;
 
@@ -266,9 +262,14 @@ TEST(ExactCounts, ProactiveHelloTxAndRxMatchClosedForm) {
             kRounds * n * (n - 1));
   EXPECT_EQ(observation.counters.total(Counter::kHelloLossDrops), 0u);
   EXPECT_EQ(observation.counters.total(Counter::kSnapshots), 0u);
+  std::vector<std::uint64_t> hello_tx(n, 0);
+  for (const TraceEvent& event : observation.trace.events()) {
+    if (event.kind != EventKind::kHelloTx) continue;
+    ASSERT_LT(event.node, n);
+    ++hello_tx[event.node];
+  }
   for (std::size_t u = 0; u < n; ++u) {
-    EXPECT_EQ(observation.counters.node_total(Counter::kHelloTx, u), kRounds)
-        << "node " << u;
+    EXPECT_EQ(hello_tx[u], kRounds) << "node " << u;
   }
 }
 

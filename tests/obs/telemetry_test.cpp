@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdint>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -43,11 +44,10 @@ TEST(Ledger, PercentileUsesNearestRank) {
   EXPECT_DOUBLE_EQ(percentile({}, 50.0), 0.0);
 }
 
-RunLedger ledger_with_total_seconds(double seconds) {
-  RunLedger ledger;
-  ledger.total_wall_ns = static_cast<std::uint64_t>(seconds * 1e9);
-  ledger.captured = true;
-  return ledger;
+RunObservation observation_with_total_seconds(double seconds) {
+  RunObservation observation;
+  observation.ledger = {static_cast<std::uint64_t>(seconds * 1e9), 0, true};
+  return observation;
 }
 
 TEST(Ledger, SummaryStatsOnKnownInputs) {
@@ -55,7 +55,7 @@ TEST(Ledger, SummaryStatsOnKnownInputs) {
   // 20 samples 1..20 s: mean 10.5, p50 = 10th smallest = 10, p95 = 19th
   // smallest = 19 (nearest rank), max 20.
   for (int s = 20; s >= 1; --s) {
-    summary.add(ledger_with_total_seconds(static_cast<double>(s)));
+    summary.add(observation_with_total_seconds(static_cast<double>(s)));
   }
   ASSERT_EQ(summary.count(), 20u);
   const LedgerStat stat = summary.stat(LedgerField::kTotalSeconds);
@@ -67,16 +67,13 @@ TEST(Ledger, SummaryStatsOnKnownInputs) {
 }
 
 TEST(Ledger, SummaryIgnoresUncapturedAndMerges) {
-  LedgerSummary left;
-  left.add(RunLedger{});  // never captured: must not contribute a sample
-  EXPECT_TRUE(left.empty());
-  left.add(ledger_with_total_seconds(1.0));
-
-  LedgerSummary right;
-  right.add(ledger_with_total_seconds(3.0));
-  left.merge(right);
-  ASSERT_EQ(left.count(), 2u);
-  EXPECT_DOUBLE_EQ(left.stat(LedgerField::kTotalSeconds).mean, 2.0);
+  LedgerSummary summary;
+  summary.add(RunObservation{});  // never captured: must not contribute
+  EXPECT_TRUE(summary.empty());
+  summary.add(observation_with_total_seconds(1.0));
+  summary.add(observation_with_total_seconds(3.0));
+  ASSERT_EQ(summary.count(), 2u);
+  EXPECT_DOUBLE_EQ(summary.stat(LedgerField::kTotalSeconds).mean, 2.0);
 }
 
 TEST(Ledger, CaptureDerivesFieldsFromObservation) {
@@ -92,46 +89,47 @@ TEST(Ledger, CaptureDerivesFieldsFromObservation) {
   observation.counters.add(Counter::kTraceCacheMisses, 3);
   observation.counters.add(Counter::kMediumCandidates, 200);
   observation.counters.add(Counter::kMediumCandidatesAccepted, 50);
+  observation.ledger = {/*total_wall_ns=*/8'000'000'000u,
+                        /*peak_rss_bytes=*/42u << 20, /*captured=*/true};
 
-  RunLedger ledger;
-  ledger.capture(observation, /*wall_ns=*/8'000'000'000u,
-                 /*peak_rss=*/42u << 20, /*allocations_before=*/0);
-  ASSERT_TRUE(ledger.captured);
-  EXPECT_DOUBLE_EQ(ledger.value(LedgerField::kTotalSeconds), 8.0);
-  EXPECT_DOUBLE_EQ(ledger.value(LedgerField::kSetupSeconds), 2.0);
-  EXPECT_DOUBLE_EQ(ledger.value(LedgerField::kTraceGenSeconds), 0.5);
-  EXPECT_DOUBLE_EQ(ledger.value(LedgerField::kSimSeconds), 4.0);
-  EXPECT_DOUBLE_EQ(ledger.value(LedgerField::kSnapshotSeconds), 0.25);
-  EXPECT_EQ(ledger.events, 1234u);
-  EXPECT_EQ(ledger.peak_rss_bytes, 42u << 20);
-  EXPECT_DOUBLE_EQ(ledger.recompute_hit_rate, 0.75);
-  EXPECT_DOUBLE_EQ(ledger.trace_cache_hit_rate, 0.25);
-  EXPECT_DOUBLE_EQ(ledger.grid_hit_rate, 0.25);
-}
-
-TEST(Ledger, AllocationHookFeedsCaptureDeltas) {
-  static std::uint64_t fake_allocations = 0;
-  set_allocation_counter(+[] { return fake_allocations; });
-  fake_allocations = 100;
-  const std::uint64_t before = allocation_count();
-  fake_allocations = 350;
-  RunLedger ledger;
-  ledger.capture(RunObservation{}, 0, 0, before);
-  set_allocation_counter(nullptr);
-  EXPECT_EQ(ledger.allocations, 250u);
-  EXPECT_EQ(allocation_count(), 0u) << "hook must reset to the 0 default";
+  const auto value = [&](LedgerField field) {
+    return ledger_value(observation, field);
+  };
+  EXPECT_DOUBLE_EQ(value(LedgerField::kTotalSeconds), 8.0);
+  EXPECT_DOUBLE_EQ(value(LedgerField::kSetupSeconds), 2.0);
+  EXPECT_DOUBLE_EQ(value(LedgerField::kTraceGenSeconds), 0.5);
+  EXPECT_DOUBLE_EQ(value(LedgerField::kSimSeconds), 4.0);
+  EXPECT_DOUBLE_EQ(value(LedgerField::kSnapshotSeconds), 0.25);
+  // Events processed (the profiler's count), not events scheduled.
+  EXPECT_DOUBLE_EQ(value(LedgerField::kEvents), 1000.0);
+  EXPECT_DOUBLE_EQ(value(LedgerField::kPeakRssBytes), 42u << 20);
+  EXPECT_DOUBLE_EQ(value(LedgerField::kRecomputeHitRate), 0.75);
+  EXPECT_DOUBLE_EQ(value(LedgerField::kTraceCacheHitRate), 0.25);
+  EXPECT_DOUBLE_EQ(value(LedgerField::kGridHitRate), 0.25);
 }
 
 TEST(Ledger, FieldNamesAreStable) {
-  // Exported names are part of the JSONL / Prometheus schema; pin them.
-  EXPECT_STREQ(ledger_field_name(LedgerField::kTotalSeconds),
-               "total_seconds");
-  EXPECT_STREQ(ledger_field_name(LedgerField::kPeakRssBytes),
-               "peak_rss_bytes");
-  EXPECT_STREQ(ledger_field_name(LedgerField::kGridHitRate),
-               "grid_hit_rate");
+  // Exported names are part of the JSONL / Prometheus schema; pin every
+  // one, in LedgerField order.
+  constexpr const char* kNames[] = {
+      "total_seconds",
+      "setup_seconds",
+      "trace_gen_seconds",
+      "sim_seconds",
+      "snapshot_seconds",
+      "events",
+      "peak_rss_bytes",
+      "recompute_hit_rate",
+      "trace_cache_hit_rate",
+      "grid_hit_rate",
+      "medium_query_seconds",
+      "view_assembly_seconds",
+      "protocol_select_seconds",
+      "delivery_seconds",
+  };
+  ASSERT_EQ(std::size(kNames), kLedgerFieldCount);
   for (std::size_t f = 0; f < kLedgerFieldCount; ++f) {
-    EXPECT_STRNE(ledger_field_name(static_cast<LedgerField>(f)), "unknown");
+    EXPECT_STREQ(ledger_field_name(static_cast<LedgerField>(f)), kNames[f]);
   }
 }
 
@@ -181,9 +179,10 @@ TEST(FlightRecorder, ZeroCapacityRecordsNothing) {
 
 TEST(FlightRecorder, ProbeRoutesEventsByFlags) {
   RunObservation observation;
-  observation.flight_on = true;
-  observation.flight.set_capacity(8);
   const Probe probe(&observation);
+  EXPECT_FALSE(probe.tracing()) << "no trace, no ring: nothing to record";
+  observation.flight.set_capacity(8);  // a capacity turns the ring on
+  EXPECT_TRUE(probe.tracing());
   probe.trace(EventKind::kHelloTx, 1.0, 7);
   EXPECT_EQ(observation.flight.total_recorded(), 1u);
   EXPECT_TRUE(observation.trace.empty())
@@ -200,14 +199,12 @@ TEST(PostMortem, WritesOneJsonLinePerIncident) {
   PostMortemWriter writer;
   ASSERT_TRUE(writer.open(path));
 
-  RunObservation observation;
-  observation.flight_on = true;
+  RunObservation observation = observation_with_total_seconds(12.0);
   observation.flight.set_capacity(2);
   for (int i = 1; i <= 3; ++i) {
     observation.flight.record(event_at(static_cast<double>(i)));
   }
   observation.counters.add(Counter::kHelloTx, 9);
-  observation.ledger = ledger_with_total_seconds(12.0);
 
   PostMortem incident;
   incident.config_index = 2;
@@ -218,9 +215,7 @@ TEST(PostMortem, WritesOneJsonLinePerIncident) {
   incident.wall_seconds = 12.0;
   incident.soft_deadline_seconds = 5.0;
   incident.config_summary = "protocol=RNG nodes=100";
-  incident.ledger = &observation.ledger;
-  incident.counters = &observation.counters;
-  incident.flight = &observation.flight;
+  incident.observation = &observation;
   writer.write(incident);
   EXPECT_EQ(writer.incidents(), 1u);
   writer.close();
@@ -248,7 +243,7 @@ RunObservation observation_with_events(std::uint64_t events) {
   RunObservation observation;
   observation.counters.add(Counter::kSimEventsScheduled, events);
   observation.profiler.add_run(events * 1000, events);
-  observation.ledger.capture(observation, events * 1000, 0, 0);
+  observation.ledger = {events * 1000, 0, true};
   return observation;
 }
 
@@ -268,8 +263,7 @@ TEST(MetricsExporter, StreamsJsonlAndPrometheus) {
   exporter.close();
 
   const std::string jsonl = slurp(jsonl_path);
-  // flush_every defaults to 1: one snapshot per record, plus the final
-  // close() snapshot.
+  // One snapshot per record, plus the final close() snapshot.
   EXPECT_EQ(std::count(jsonl.begin(), jsonl.end(), '\n'), 3);
   EXPECT_NE(jsonl.find("\"type\":\"metrics\""), std::string::npos);
   EXPECT_NE(jsonl.find("\"job\":\"telemetry_test\""), std::string::npos);
@@ -290,20 +284,6 @@ TEST(MetricsExporter, StreamsJsonlAndPrometheus) {
             std::string::npos);
   EXPECT_NE(prom.find("# TYPE mstc_hello_tx_total counter"),
             std::string::npos);
-}
-
-TEST(MetricsExporter, FlushCadenceBatchesSnapshots) {
-  const std::string jsonl_path = testing::TempDir() + "metrics_cadence.jsonl";
-  MetricsExporter exporter;
-  MetricsExporter::Options options;
-  options.jsonl_path = jsonl_path;
-  options.flush_every = 3;
-  ASSERT_TRUE(exporter.open(options));
-  for (int i = 0; i < 7; ++i) exporter.record(observation_with_events(1));
-  exporter.close();
-  // Snapshots after records 3 and 6, plus the final close() snapshot.
-  const std::string jsonl = slurp(jsonl_path);
-  EXPECT_EQ(std::count(jsonl.begin(), jsonl.end(), '\n'), 3);
 }
 
 TEST(SweepTelemetry, LedgerWatchdogAndExporterRideTheSweep) {
@@ -327,7 +307,6 @@ TEST(SweepTelemetry, LedgerWatchdogAndExporterRideTheSweep) {
   runner::SweepHooks hooks;
   hooks.observations = &observations;
   hooks.ledger = true;
-  hooks.flight = true;
   hooks.flight_capacity = 16;
   hooks.exporter = &exporter;
   hooks.postmortem = &postmortem;
@@ -344,11 +323,12 @@ TEST(SweepTelemetry, LedgerWatchdogAndExporterRideTheSweep) {
   LedgerSummary summary;
   for (const RunObservation& observation : observations) {
     EXPECT_TRUE(observation.ledger.captured);
-    EXPECT_GT(observation.ledger.events, 0u);
+    EXPECT_GT(ledger_value(observation, LedgerField::kEvents), 0.0);
     EXPECT_GT(observation.ledger.total_wall_ns, 0u);
     EXPECT_GT(observation.ledger.peak_rss_bytes, 0u);
     EXPECT_GT(observation.flight.total_recorded(), 0u);
-    summary.add(observation.ledger);
+    EXPECT_LE(observation.flight.size(), 16u);
+    summary.add(observation);
   }
   EXPECT_EQ(summary.count(), kRepeats);
   EXPECT_GT(summary.stat(LedgerField::kEvents).mean, 0.0);

@@ -89,13 +89,11 @@ int main(int argc, char** argv) {
     // The ledger's phase split (streamed + manifested) needs the profiler.
     observation.profile_on = !metrics_path.empty() || streaming;
     const std::uint64_t run_start = observing ? obs::wall_now_ns() : 0;
-    const std::uint64_t allocations_before =
-        observing ? obs::allocation_count() : 0;
     const auto result =
         routing::run_epidemic(cfg, observing ? &observation : nullptr);
     if (observing) {
-      observation.ledger.capture(observation, obs::wall_now_ns() - run_start,
-                                 util::peak_rss_bytes(), allocations_before);
+      observation.ledger = {obs::wall_now_ns() - run_start,
+                            util::peak_rss_bytes(), true};
     }
     std::printf(
         "substrate snapshot connectivity  %.3f (how partitioned the raw "
@@ -156,7 +154,7 @@ int main(int argc, char** argv) {
         manifest.profiler = &observation.profiler;
         manifest.peak_rss_bytes = util::peak_rss_bytes();
         obs::LedgerSummary ledger_summary;
-        ledger_summary.add(observation.ledger);
+        ledger_summary.add(observation);
         manifest.ledger = &ledger_summary;
         if (!obs::write_manifest(metrics_path, manifest)) {
           std::fprintf(stderr, "error: cannot write %s\n",

@@ -168,7 +168,6 @@ int main(int argc, char** argv) {
       hooks.trace = want_trace;
       hooks.profile = !metrics_path.empty();
       hooks.ledger = !metrics_path.empty() || streaming;
-      hooks.flight = flight_capacity > 0;
       hooks.flight_capacity = flight_capacity;
       if (progress) hooks.on_progress = print_progress;
       if (streaming) {
@@ -223,7 +222,7 @@ int main(int argc, char** argv) {
       for (const obs::RunObservation& observation : observations) {
         counters.merge(observation.counters);
         profiler.merge(observation.profiler);
-        ledger_summary.add(observation.ledger);
+        ledger_summary.add(observation);
         sinks.push_back(&observation.trace);
       }
       if (!trace_path.empty() &&
