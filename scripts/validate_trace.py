@@ -172,8 +172,9 @@ def manifest_ledger_names(manifest: dict) -> set[str]:
 def stream_ledger_names(path: Path) -> set[str]:
     with open(path) as handle:
         lines = [json.loads(line) for line in handle if line.strip()]
-    if not lines:
-        fail("metrics stream: no lines")
+    if len(lines) != REPEATS:
+        fail(f"metrics stream: {len(lines)} lines, expected one per "
+             f"replication ({REPEATS})")
     last = lines[-1]
     if last.get("type") != "metrics" or last.get("completed") != REPEATS:
         fail(f"metrics stream: last line type={last.get('type')!r} "

@@ -50,8 +50,6 @@ bool MetricsExporter::open(const Options& options) {
 
 void MetricsExporter::close() {
   util::MutexLock lock(mutex_);
-  if (jsonl_ == nullptr && options_.prom_path.empty()) return;
-  if (completed_ > 0) emit();
   if (jsonl_ != nullptr) {
     std::fclose(jsonl_);
     jsonl_ = nullptr;

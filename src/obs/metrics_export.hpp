@@ -4,10 +4,9 @@
 // replications complete, the runner feeds their observation slots in and
 // the exporter maintains merged counter totals, a merged wall-clock
 // profile, and the ledger summary (mean/p50/p95/max per field). After
-// every record — and once more at close — it appends one JSON line to the
-// JSONL stream and rewrites the Prometheus text-exposition file, so
-// `tail -f` and a Prometheus file-based scrape both work while the sweep
-// runs.
+// every record it appends one JSON line to the JSONL stream and rewrites
+// the Prometheus text-exposition file, so `tail -f` and a Prometheus
+// file-based scrape both work while the sweep runs.
 //
 // Determinism: the exporter only ever reads observation slots of FINISHED
 // replications (the sweep runner calls record() after run_scenario
@@ -51,7 +50,8 @@ class MetricsExporter {
   /// Opens the configured outputs (JSONL truncated, Prometheus rewritten
   /// per snapshot); false when any configured path cannot be opened.
   [[nodiscard]] bool open(const Options& options);
-  /// Final snapshot + close; safe to call repeatedly.
+  /// Closes the outputs; later records write nothing. Safe to call
+  /// repeatedly.
   void close();
 
   /// Folds one finished replication's observation into the aggregates and

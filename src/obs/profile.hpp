@@ -1,7 +1,7 @@
 // Wall-clock profiling: per-handler-category timing and run throughput.
 //
 // This header (with profile.cpp) is the ONLY place in the library tree that
-// may read a wall clock — tools/mstc_lint.py's `wall-clock` rule enforces
+// may read a wall clock — tools/mstc_tidy.py's `wall-clock` rule enforces
 // it mechanically. Wall time is reported next to results, never fed into
 // them: simulation state depends exclusively on sim-time, so profiling a
 // run cannot change its outputs.
@@ -22,8 +22,7 @@ namespace mstc::obs {
 /// docs/PERFORMANCE.md: kMediumQuery nests inside the phase that issued
 /// the query (like kTraceGen inside kSetup), kProtocolSelect nests inside
 /// the refresh that kViewAssembly times, and kDelivery is attributed by
-/// the kernel's batched fan-out dispatch (one timed scope per broadcast;
-/// the unbatched escape hatch's per-receiver events stay unattributed).
+/// the kernel's batched fan-out dispatch (one timed scope per broadcast).
 enum class Category : std::size_t {
   kSetup,      ///< scenario construction (traces, controllers, wiring)
   kTraceGen,   ///< mobility trace acquisition (subset of kSetup's span)

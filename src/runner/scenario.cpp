@@ -255,7 +255,7 @@ class Scenario {
     // Each forward draws its own randomized backoff, so the per-receiver
     // delivery times genuinely differ — a shared fan-out event cannot
     // carry per-receiver timestamps.
-    // mstc-lint: allow(per-receiver-schedule)
+    // mstc-tidy: allow(per-receiver-schedule)
     for (NodeId v : receiver_buffer_) {
       const double delay = kPropagationDelay +
                            backoff_rng_.uniform(kMinForwardBackoff,
@@ -402,7 +402,7 @@ class Scenario {
     }
     // Flood forwards carry per-receiver randomized backoffs (distinct
     // delivery times), so they cannot share one fan-out event.
-    // mstc-lint: allow(per-receiver-schedule)
+    // mstc-tidy: allow(per-receiver-schedule)
     for (NodeId v : forward_targets_) {
       const double delay = kPropagationDelay +
                            backoff_rng_.uniform(kMinForwardBackoff,

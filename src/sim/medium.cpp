@@ -148,7 +148,7 @@ void Medium::links_within(double range, double t,
     // the small-fleet crossover; the differential suites compare the grid
     // against exactly this loop.
     for (NodeId u = 0; u < scratch_positions_.size(); ++u) {
-      // mstc-lint: allow(all-pairs-scan)
+      // mstc-tidy: allow(all-pairs-scan)
       for (NodeId v = u + 1; v < scratch_positions_.size(); ++v) {
         ++checks;
         if (geom::distance_sq(scratch_positions_[u], scratch_positions_[v]) <=

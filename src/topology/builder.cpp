@@ -63,7 +63,7 @@ graph::Graph original_graph(std::span<const geom::Vec2> positions,
   // inside the per-tick loop; keeping the plain scan makes it the oracle
   // other paths are compared against.
   for (NodeId u = 0; u < positions.size(); ++u) {
-    // mstc-lint: allow(all-pairs-scan)
+    // mstc-tidy: allow(all-pairs-scan)
     for (NodeId v = u + 1; v < positions.size(); ++v) {
       const double d_sq = geom::distance_sq(positions[u], positions[v]);
       if (d_sq <= range_sq) g.add_edge(u, v, std::sqrt(d_sq));

@@ -1,8 +1,32 @@
 #include "util/args.hpp"
 
+#include <cerrno>
 #include <cstdlib>
+#include <stdexcept>
 
 namespace mstc::util {
+
+namespace {
+
+[[noreturn]] void reject(const std::string& name, const char* expected,
+                         const std::string& raw) {
+  throw std::invalid_argument("--" + name + ": expected " + expected +
+                              ", got '" + raw + "'");
+}
+
+/// The whole of `text` as a base-10 long; nullopt when malformed or out of
+/// range.
+std::optional<long> parse_long(const std::string& text) {
+  char* end = nullptr;
+  errno = 0;
+  const long parsed = std::strtol(text.c_str(), &end, 10);
+  if (end == text.c_str() || *end != '\0' || errno == ERANGE) {
+    return std::nullopt;
+  }
+  return parsed;
+}
+
+}  // namespace
 
 ArgParser::ArgParser(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
@@ -45,19 +69,29 @@ std::string ArgParser::get(const std::string& name,
 }
 
 double ArgParser::get(const std::string& name, double fallback) const {
-  const auto raw = value(name);
-  if (!raw) return fallback;
+  if (!has(name)) return fallback;
+  const std::string raw = value(name).value_or("");
   char* end = nullptr;
-  const double parsed = std::strtod(raw->c_str(), &end);
-  return (end == raw->c_str() || *end != '\0') ? fallback : parsed;
+  errno = 0;
+  const double parsed = std::strtod(raw.c_str(), &end);
+  if (end != raw.c_str() && *end == '\0' && errno != ERANGE) return parsed;
+  reject(name, "a number", raw);
 }
 
 long ArgParser::get(const std::string& name, long fallback) const {
-  const auto raw = value(name);
-  if (!raw) return fallback;
-  char* end = nullptr;
-  const long parsed = std::strtol(raw->c_str(), &end, 10);
-  return (end == raw->c_str() || *end != '\0') ? fallback : parsed;
+  if (!has(name)) return fallback;
+  const std::string raw = value(name).value_or("");
+  if (const auto parsed = parse_long(raw)) return *parsed;
+  reject(name, "an integer", raw);
+}
+
+std::size_t ArgParser::get_count(const std::string& name,
+                                 std::size_t fallback) const {
+  if (!has(name)) return fallback;
+  const std::string raw = value(name).value_or("");
+  const auto parsed = parse_long(raw);
+  if (parsed && *parsed >= 0) return static_cast<std::size_t>(*parsed);
+  reject(name, "a non-negative integer", raw);
 }
 
 std::vector<std::string> ArgParser::unknown() const {

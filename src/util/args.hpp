@@ -5,6 +5,7 @@
 // a helpful message instead of silently ignoring them.
 #pragma once
 
+#include <cstddef>
 #include <map>
 #include <optional>
 #include <string>
@@ -22,10 +23,16 @@ class ArgParser {
   /// Raw value of --name; nullopt when absent or valueless.
   [[nodiscard]] std::optional<std::string> value(const std::string& name) const;
 
+  /// Value of --name, or `fallback` when absent (a string option also when
+  /// valueless). A numeric value that is missing, malformed or out of range
+  /// throws std::invalid_argument naming the flag.
   [[nodiscard]] std::string get(const std::string& name,
                                 std::string fallback) const;
   [[nodiscard]] double get(const std::string& name, double fallback) const;
   [[nodiscard]] long get(const std::string& name, long fallback) const;
+  /// A count or size: like get(name, long), but a negative value throws too.
+  [[nodiscard]] std::size_t get_count(const std::string& name,
+                                      std::size_t fallback) const;
   [[nodiscard]] bool get_flag(const std::string& name) const { return has(name); }
 
   /// Positional (non --option) arguments in order.

@@ -10,14 +10,6 @@
 // lock through these types — tools/mstc_tidy.py's `missing-guarded-by`
 // rule treats a bare std::mutex member the same as a util::Mutex, so
 // switching back does not dodge the check.
-//
-// Condition variables: std::condition_variable needs the underlying
-// std::unique_lock, exposed as MutexLock::native(). A wait returns with the
-// lock re-held, so from the analysis's perspective the capability state is
-// unchanged across the call — use the
-//     while (!predicate()) cv.wait(lock.native());
-// form rather than the predicate-lambda overload: lambdas are analyzed as
-// separate functions and would warn on guarded reads inside the predicate.
 #pragma once
 
 #include <mutex>
@@ -36,12 +28,9 @@ class MSTC_CAPABILITY("mutex") Mutex {
 
   void lock() MSTC_ACQUIRE() { mutex_.lock(); }
   void unlock() MSTC_RELEASE() { mutex_.unlock(); }
-  [[nodiscard]] bool try_lock() MSTC_TRY_ACQUIRE(true) {
-    return mutex_.try_lock();
-  }
 
-  /// The wrapped mutex, for std::condition_variable interop only (via
-  /// MutexLock::native()); locking it directly bypasses the analysis.
+  /// The wrapped mutex, for MutexLock only; locking it directly bypasses
+  /// the analysis.
   [[nodiscard]] std::mutex& native() noexcept { return mutex_; }
 
  private:
@@ -59,11 +48,6 @@ class MSTC_SCOPED_CAPABILITY MutexLock {
   ~MutexLock() MSTC_RELEASE() {}  // NOLINT(modernize-use-equals-default):
   // a defaulted destructor could not carry the release annotation on every
   // supported compiler; the empty body keeps the attribute portable.
-
-  /// Underlying lock for std::condition_variable::wait (see file comment).
-  [[nodiscard]] std::unique_lock<std::mutex>& native() noexcept {
-    return lock_;
-  }
 
  private:
   std::unique_lock<std::mutex> lock_;

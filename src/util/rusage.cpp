@@ -10,7 +10,7 @@ std::uint64_t peak_rss_bytes() noexcept {
 #if defined(__unix__) || defined(__APPLE__)
   rusage usage{};
   // The one sanctioned resource-usage read (see file comment in rusage.hpp).
-  if (getrusage(RUSAGE_SELF, &usage) != 0) {  // mstc-lint: allow(wall-clock)
+  if (getrusage(RUSAGE_SELF, &usage) != 0) {
     return 0;
   }
 #if defined(__APPLE__)

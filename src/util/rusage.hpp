@@ -2,7 +2,7 @@
 //
 // Like wall-clock time, resource usage describes the machine, not the
 // simulation: these readings feed the observability ledger and manifests
-// only, never simulation state. The `wall-clock` rule of tools/mstc_lint.py
+// only, never simulation state. The `wall-clock` rule of tools/mstc_tidy.py
 // confines the raw getrusage(2) call to rusage.cpp, mirroring how clock
 // reads are confined to src/obs/profile.cpp.
 #pragma once

@@ -263,8 +263,8 @@ TEST(MetricsExporter, StreamsJsonlAndPrometheus) {
   exporter.close();
 
   const std::string jsonl = slurp(jsonl_path);
-  // One snapshot per record, plus the final close() snapshot.
-  EXPECT_EQ(std::count(jsonl.begin(), jsonl.end(), '\n'), 3);
+  // One snapshot per record; close() adds none.
+  EXPECT_EQ(std::count(jsonl.begin(), jsonl.end(), '\n'), 2);
   EXPECT_NE(jsonl.find("\"type\":\"metrics\""), std::string::npos);
   EXPECT_NE(jsonl.find("\"job\":\"telemetry_test\""), std::string::npos);
   EXPECT_NE(jsonl.find("\"completed\":2"), std::string::npos);

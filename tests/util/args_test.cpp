@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 namespace mstc::util {
 namespace {
 
@@ -32,11 +34,29 @@ TEST(ArgParser, SwitchFollowedByOption) {
 }
 
 TEST(ArgParser, TypedFallbacks) {
-  const auto args = parse({"--count", "7", "--bad", "x7"});
+  const auto args =
+      parse({"--count", "7", "--bad", "x7", "--negative", "-1", "--big",
+             "99999999999999999999", "--speed", "1e999", "--bare"});
   EXPECT_EQ(args.get("count", 0L), 7);
-  EXPECT_EQ(args.get("bad", 3L), 3) << "malformed value falls back";
+  EXPECT_EQ(args.get_count("count", 0), 7u);
   EXPECT_EQ(args.get("missing", 9L), 9);
+  EXPECT_EQ(args.get_count("missing", 9), 9u);
   EXPECT_DOUBLE_EQ(args.get("missing", 2.5), 2.5);
+  // A malformed or out-of-range number is an error naming the flag, never
+  // a silent fallback; a count must not be negative.
+  EXPECT_THROW((void)args.get("bad", 3L), std::invalid_argument);
+  EXPECT_THROW((void)args.get("bad", 3.0), std::invalid_argument);
+  EXPECT_THROW((void)args.get("big", 0L), std::invalid_argument);
+  EXPECT_THROW((void)args.get("speed", 0.0), std::invalid_argument);
+  EXPECT_THROW((void)args.get_count("bare", 1), std::invalid_argument);
+  EXPECT_EQ(args.get("negative", 0L), -1);
+  try {
+    (void)args.get_count("negative", 0);
+    ADD_FAILURE() << "a negative count was accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_STREQ(error.what(),
+                 "--negative: expected a non-negative integer, got '-1'");
+  }
 }
 
 TEST(ArgParser, PositionalArguments) {

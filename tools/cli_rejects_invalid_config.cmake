@@ -1,5 +1,6 @@
-# Runs a CLI front end on configurations its validate() rejects and requires
-# exit code 1 and a clean "error: <expected>" on stderr from each.
+# Runs a CLI front end on arguments it must reject (a configuration its
+# validate() refuses, or a malformed number) and requires exit code 1 and a
+# clean "error: <expected>" on stderr from each.
 #
 #   cmake -DCLI=<binary> "-DCASES=<case>[|<case>...]" -P cli_rejects_invalid_config.cmake
 #

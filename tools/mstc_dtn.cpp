@@ -56,34 +56,34 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  routing::EpidemicConfig cfg;
-  cfg.node_count = static_cast<std::size_t>(args.get("nodes", 40L));
-  cfg.range = args.get("range", 100.0);
-  cfg.average_speed = args.get("speed", 10.0);
-  cfg.mobility_model = args.get("mobility", std::string("waypoint"));
-  cfg.max_relay_hops = static_cast<std::size_t>(args.get("relay-hops", 64L));
-  cfg.buffer_limit = static_cast<std::size_t>(args.get("buffer", 0L));
-  cfg.message_count = static_cast<std::size_t>(args.get("messages", 50L));
-  cfg.duration = args.get("duration", 120.0);
-  cfg.seed = static_cast<std::uint64_t>(args.get("seed", 1L));
-  const std::string trace_path = args.get("trace", std::string());
-  const std::string trace_jsonl_path = args.get("trace-jsonl", std::string());
-  const std::string metrics_path = args.get("metrics-out", std::string());
-  const std::string stream_path = args.get(
-      "metrics-stream", util::env_or("MSTC_METRICS_STREAM", std::string()));
-  const std::string prom_path = args.get(
-      "metrics-prom", util::env_or("MSTC_METRICS_PROM", std::string()));
-  for (const auto& name : args.unknown()) {
-    std::fprintf(stderr, "error: unknown option --%s (try --help)\n",
-                 name.c_str());
-    return 2;
-  }
-
-  const bool want_trace = !trace_path.empty() || !trace_jsonl_path.empty();
-  const bool streaming = !stream_path.empty() || !prom_path.empty();
-  const bool observing = want_trace || !metrics_path.empty() || streaming;
-
   try {
+    routing::EpidemicConfig cfg;
+    cfg.node_count = args.get_count("nodes", 40);
+    cfg.range = args.get("range", 100.0);
+    cfg.average_speed = args.get("speed", 10.0);
+    cfg.mobility_model = args.get("mobility", std::string("waypoint"));
+    cfg.max_relay_hops = args.get_count("relay-hops", 64);
+    cfg.buffer_limit = args.get_count("buffer", 0);
+    cfg.message_count = args.get_count("messages", 50);
+    cfg.duration = args.get("duration", 120.0);
+    cfg.seed = static_cast<std::uint64_t>(args.get("seed", 1L));
+    const std::string trace_path = args.get("trace", std::string());
+    const std::string trace_jsonl_path = args.get("trace-jsonl", std::string());
+    const std::string metrics_path = args.get("metrics-out", std::string());
+    const std::string stream_path = args.get(
+        "metrics-stream", util::env_or("MSTC_METRICS_STREAM", std::string()));
+    const std::string prom_path = args.get(
+        "metrics-prom", util::env_or("MSTC_METRICS_PROM", std::string()));
+    for (const auto& name : args.unknown()) {
+      std::fprintf(stderr, "error: unknown option --%s (try --help)\n",
+                   name.c_str());
+      return 2;
+    }
+
+    const bool want_trace = !trace_path.empty() || !trace_jsonl_path.empty();
+    const bool streaming = !stream_path.empty() || !prom_path.empty();
+    const bool observing = want_trace || !metrics_path.empty() || streaming;
+
     obs::RunObservation observation;
     observation.trace_on = want_trace;
     // The ledger's phase split (streamed + manifested) needs the profiler.

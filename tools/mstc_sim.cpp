@@ -93,71 +93,70 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  runner::ScenarioConfig cfg = runner::apply_env_overrides({});
-  cfg.protocol = args.get("protocol", std::string("RNG"));
-  cfg.average_speed = args.get("speed", 10.0);
-  cfg.mobility_model = args.get("mobility", std::string("waypoint"));
-  cfg.buffer_width = args.get("buffer", 0.0);
-  cfg.adaptive_buffer = args.get_flag("adaptive-buffer");
-  cfg.physical_neighbors = args.get_flag("pn");
-  cfg.history_limit = static_cast<std::size_t>(args.get("history", 0L));
-  cfg.node_count = static_cast<std::size_t>(
-      args.get("nodes", static_cast<long>(cfg.node_count)));
-  cfg.normal_range = args.get("range", cfg.normal_range);
-  cfg.duration = args.get("duration", cfg.duration);
-  cfg.hello_interval = args.get("hello-interval", cfg.hello_interval);
-  cfg.hello_loss = args.get("hello-loss", 0.0);
-  cfg.seed = static_cast<std::uint64_t>(args.get("seed", 1L));
-  const auto repeats = static_cast<std::size_t>(args.get("repeats", 5L));
-
-  const std::string trace_path = args.get("trace", std::string());
-  const std::string trace_jsonl_path = args.get("trace-jsonl", std::string());
-  const std::string metrics_path = args.get("metrics-out", std::string());
-  const std::string stream_path = args.get(
-      "metrics-stream", util::env_or("MSTC_METRICS_STREAM", std::string()));
-  const std::string prom_path = args.get(
-      "metrics-prom", util::env_or("MSTC_METRICS_PROM", std::string()));
-  const auto flight_capacity =
-      static_cast<std::size_t>(args.get("flight", 0L));
-  const std::string postmortem_path = args.get("postmortem", std::string());
-  const double soft_deadline = args.get("soft-deadline", 0.0);
-  const bool progress = args.get_flag("progress");
-
-  std::string mode_name = args.get("mode", std::string("latest"));
   try {
-    cfg.mode = core::consistency_mode_from(mode_name);
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "error: %s\n", error.what());
-    return 2;
-  }
-  for (const auto& name : args.unknown()) {
-    std::fprintf(stderr, "error: unknown option --%s (try --help)\n",
-                 name.c_str());
-    return 2;
-  }
+    runner::ScenarioConfig cfg = runner::apply_env_overrides({});
+    cfg.protocol = args.get("protocol", std::string("RNG"));
+    cfg.average_speed = args.get("speed", 10.0);
+    cfg.mobility_model = args.get("mobility", std::string("waypoint"));
+    cfg.buffer_width = args.get("buffer", 0.0);
+    cfg.adaptive_buffer = args.get_flag("adaptive-buffer");
+    cfg.physical_neighbors = args.get_flag("pn");
+    cfg.history_limit = args.get_count("history", 0);
+    cfg.node_count = args.get_count("nodes", cfg.node_count);
+    cfg.normal_range = args.get("range", cfg.normal_range);
+    cfg.duration = args.get("duration", cfg.duration);
+    cfg.hello_interval = args.get("hello-interval", cfg.hello_interval);
+    cfg.hello_loss = args.get("hello-loss", 0.0);
+    cfg.seed = static_cast<std::uint64_t>(args.get("seed", 1L));
+    const std::size_t repeats = args.get_count("repeats", 5);
 
-  std::printf(
-      "%s | mode=%s speed=%.0f m/s buffer=%s pn=%s | %zu nodes, %.0f s x "
-      "%zu repeats\n",
-      cfg.protocol.c_str(), mode_name.c_str(), cfg.average_speed,
-      cfg.adaptive_buffer
-          ? "adaptive"
-          : (std::to_string(static_cast<int>(cfg.buffer_width)) + " m").c_str(),
-      cfg.physical_neighbors ? "yes" : "no", cfg.node_count, cfg.duration,
-      repeats);
+    const std::string trace_path = args.get("trace", std::string());
+    const std::string trace_jsonl_path = args.get("trace-jsonl", std::string());
+    const std::string metrics_path = args.get("metrics-out", std::string());
+    const std::string stream_path = args.get(
+        "metrics-stream", util::env_or("MSTC_METRICS_STREAM", std::string()));
+    const std::string prom_path = args.get(
+        "metrics-prom", util::env_or("MSTC_METRICS_PROM", std::string()));
+    const std::size_t flight_capacity = args.get_count("flight", 0);
+    const std::string postmortem_path = args.get("postmortem", std::string());
+    const double soft_deadline = args.get("soft-deadline", 0.0);
+    const bool progress = args.get_flag("progress");
 
-  if (soft_deadline > 0.0 && postmortem_path.empty()) {
-    std::fprintf(stderr, "error: --soft-deadline needs --postmortem FILE\n");
-    return 2;
-  }
+    std::string mode_name = args.get("mode", std::string("latest"));
+    try {
+      cfg.mode = core::consistency_mode_from(mode_name);
+    } catch (const std::exception& error) {
+      std::fprintf(stderr, "error: %s\n", error.what());
+      return 2;
+    }
+    for (const auto& name : args.unknown()) {
+      std::fprintf(stderr, "error: unknown option --%s (try --help)\n",
+                   name.c_str());
+      return 2;
+    }
 
-  const bool want_trace = !trace_path.empty() || !trace_jsonl_path.empty();
-  const bool streaming = !stream_path.empty() || !prom_path.empty();
-  const bool observing = want_trace || !metrics_path.empty() || progress ||
-                         streaming || flight_capacity > 0 ||
-                         !postmortem_path.empty();
+    const std::string buffer_label =
+        cfg.adaptive_buffer
+            ? "adaptive"
+            : std::to_string(static_cast<int>(cfg.buffer_width)) + " m";
+    std::printf(
+        "%s | mode=%s speed=%.0f m/s buffer=%s pn=%s | %zu nodes, %.0f s x "
+        "%zu repeats\n",
+        cfg.protocol.c_str(), mode_name.c_str(), cfg.average_speed,
+        buffer_label.c_str(), cfg.physical_neighbors ? "yes" : "no",
+        cfg.node_count, cfg.duration, repeats);
 
-  try {
+    if (soft_deadline > 0.0 && postmortem_path.empty()) {
+      std::fprintf(stderr, "error: --soft-deadline needs --postmortem FILE\n");
+      return 2;
+    }
+
+    const bool want_trace = !trace_path.empty() || !trace_jsonl_path.empty();
+    const bool streaming = !stream_path.empty() || !prom_path.empty();
+    const bool observing = want_trace || !metrics_path.empty() || progress ||
+                           streaming || flight_capacity > 0 ||
+                           !postmortem_path.empty();
+
     util::ThreadPool& pool = util::global_pool();
     std::vector<obs::RunObservation> observations;
     obs::MetricsExporter exporter;
@@ -213,7 +212,7 @@ int main(int argc, char** argv) {
         agg.logical_degree().mean(), agg.physical_degree().mean());
 
     if (observing) {
-      exporter.close();  // final snapshot with every replication folded in
+      exporter.close();
       obs::CounterRegistry counters;
       obs::Profiler profiler;
       obs::LedgerSummary ledger_summary;

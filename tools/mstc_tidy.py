@@ -1,60 +1,33 @@
 #!/usr/bin/env python3
-"""mstc_tidy: AST-grade contract checker for the mstc repo.
+"""mstc_tidy: the repo's determinism and contract checker.
 
-Where tools/mstc_lint.py matches single lines by regex, this tool checks
-contracts that need program *structure* — declared types resolved across
-headers, function bodies and the calls between them, class member lists.
-It supersedes the regex linter's weakest rules (see docs/STATIC_ANALYSIS.md
-for the full catalogue and rationale):
+Every simulation run in this repository must be a pure function of
+(config, seed), parallel sweeps must be bit-identical to serial execution,
+and hot kernels must not allocate in steady state. This tool enforces the
+twelve repo rules that protect those contracts; `--list-rules` prints each
+with its reason, and docs/STATIC_ANALYSIS.md holds the catalogue.
 
-  unordered-iteration     range-for over a std::unordered_{map,set,...}
-                          (resolved through aliases and the TU's local
-                          includes). Hash-table order is implementation-
-                          defined; iteration feeding ordered output breaks
-                          cross-platform reproducibility.
-  parallel-float-accumulation
-                          compound floating-point accumulation (x += ...)
-                          inside a lambda passed to util::parallel_for.
-                          Cross-iteration float accumulation under dynamic
-                          scheduling reorders additions and is not
-                          bit-stable; reduce into per-index slots instead.
-  hot-heap-allocation     heap allocation reachable from a function carrying
-                          a `// mstc:hot` contract comment: new expressions,
-                          std::make_unique / make_shared, or a local owning
-                          container/string declaration. Hot kernels must use
-                          caller-owned scratch or member buffers (push_back
-                          into a caller-owned, pre-reserved out-parameter is
-                          the sanctioned idiom and is deliberately not
-                          flagged). Reachability is the call graph within
-                          the translation unit, names collapsed across
-                          overloads.
-  hot-std-function        std::function declared in src/sim/ or src/core/
-                          (the event-kernel and controller layers) or inside
-                          any `// mstc:hot` function. Spilled closures
-                          heap-allocate per event; use sim::Handler (SBO)
-                          or a template parameter.
-  missing-guarded-by      a class that owns a mutex (std::mutex or
-                          util::Mutex) has a data member with no
-                          MSTC_GUARDED_BY / MSTC_PT_GUARDED_BY /
-                          MSTC_UNGUARDED(reason) annotation. Exempt: the
-                          mutexes themselves, condition variables,
-                          std::once_flag, std::atomic members, const /
-                          static / constexpr members. Keeps the Clang
-                          -Wthread-safety surface complete even on builds
-                          that cannot run the analysis.
+Source rules run on every file, over comment- and string-stripped text:
+raw-random, parallel-float-reduce, iostream-in-lib, wall-clock and env-read
+are line regexes with path exemptions; all-pairs-scan and
+per-receiver-schedule match for-loop bodies with the brace matcher.
 
-Frontends. With libclang (the `clang` Python package plus libclang.so)
-available, translation units from the build tree's compile_commands.json
-are parsed into real ASTs. Without it the bundled structural frontend —
-a comment/string-stripping lexer plus a brace-matching scope scanner —
-evaluates the same rules; the fixture suite under tools/tidy_fixtures/
-pins both frontends to the same verdicts. `--frontend libclang` prints a
-clear skip message (exit 0) instead of failing when libclang is missing,
-so environments without it degrade loudly, never silently.
+Structural rules need declared types resolved across headers, function
+bodies and the calls between them, and class member lists:
+unordered-iteration, parallel-float-accumulation, hot-heap-allocation,
+hot-std-function and missing-guarded-by. With libclang (the `clang` Python
+package plus libclang.so) available, translation units from the build
+tree's compile_commands.json are parsed into real ASTs. Without it the
+bundled structural frontend — the same stripping lexer plus a
+brace-matching scope scanner — evaluates the same rules; the fixture suite
+under tools/tidy_fixtures/ pins both frontends to the same verdicts.
+`--frontend libclang` prints a clear skip message (exit 0) instead of
+failing when libclang is missing, so environments without it degrade
+loudly, never silently.
 
-Suppression: the syntax is shared with mstc_lint.py — append
-``// mstc-tidy: allow(<rule>)`` to the offending line or place it alone on
-the line directly above, with a justification comment nearby.
+Suppression: append ``// mstc-tidy: allow(<rule>[, <rule>])`` to the
+offending line or place it alone on the line directly above, with a
+justification comment nearby.
 
 Usage:
   mstc_tidy.py [--build-dir DIR] [--frontend auto|builtin|libclang]
@@ -72,15 +45,50 @@ import re
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-from mstc_lint import (  # noqa: E402  (shared grammar — see module docstring)
-    CXX_SUFFIXES,
-    allowed_rules,
-    is_library_code,
-    strip_comments_and_strings,
-)
+CXX_SUFFIXES = {".cpp", ".cc", ".cxx", ".hpp", ".hh", ".h", ".ipp"}
+
+ALLOW_RE = re.compile(
+    r"//\s*mstc-tidy:\s*allow\(([a-z0-9-]+(?:\s*,\s*[a-z0-9-]+)*)\)")
 
 RULES = {
+    "raw-random": (
+        "raw randomness outside src/util/prng.*: route all randomness "
+        "through util::Xoshiro256 / derive_seed so runs stay a pure "
+        "function of (config, seed)"
+    ),
+    "parallel-float-reduce": (
+        "parallel std::reduce/transform_reduce: reordered floating-point "
+        "accumulation is not bit-stable across runs"
+    ),
+    "iostream-in-lib": (
+        "#include <iostream> in library code: report through return "
+        "values; only tools/ front ends may print"
+    ),
+    "wall-clock": (
+        "wall-clock / resource-usage read in library code outside "
+        "src/obs/profile.cpp and src/util/rusage.cpp: simulation state "
+        "must depend on sim-time only; use obs::wall_now_ns() / "
+        "obs::ScopedTimer for timing and util::peak_rss_bytes() for RSS"
+    ),
+    "all-pairs-scan": (
+        "nested index loops over fleet positions/controllers: O(n^2) "
+        "scans belong behind graph::SpatialGrid candidate sets "
+        "(sim::Medium, core::for_each_snapshot_candidates); suppress "
+        "deliberate brute-force baselines with a justification"
+    ),
+    "per-receiver-schedule": (
+        "loop over a receiver set scheduling one simulator event per "
+        "receiver: broadcast deliveries belong in a single batched "
+        "Simulator::schedule_fanout event; suppress deliberate "
+        "per-receiver timing (randomized backoffs, differential "
+        "baselines) with a justification"
+    ),
+    "env-read": (
+        "environment read in library code outside src/runner/config.cpp, "
+        "src/util/thread_pool.cpp and src/util/options.*: MSTC_* inputs "
+        "reach a scenario only through runner::apply_env_overrides, so a "
+        "run depends on its ScenarioConfig alone"
+    ),
     "unordered-iteration": (
         "range-for over an unordered container: hash-table order is "
         "implementation-defined and breaks run-to-run reproducibility "
@@ -174,6 +182,63 @@ class Finding:
         return f"{self.path}:{self.line}: [{self.rule}] {message}"
 
 
+def strip_comments_and_strings(text: str) -> str:
+    """Blanks out comments and string/char literals, preserving line
+    structure so findings keep accurate line numbers."""
+    out = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        nxt = text[i + 1] if i + 1 < n else ""
+        if ch == "/" and nxt == "/":
+            end = text.find("\n", i)
+            end = n if end == -1 else end
+            out.append(" " * (end - i))
+            i = end
+        elif ch == "/" and nxt == "*":
+            end = text.find("*/", i + 2)
+            end = n if end == -1 else end + 2
+            chunk = text[i:end]
+            out.append("".join("\n" if c == "\n" else " " for c in chunk))
+            i = end
+        elif ch in ('"', "'"):
+            quote = ch
+            j = i + 1
+            while j < n:
+                if text[j] == "\\":
+                    j += 2
+                    continue
+                if text[j] == quote or text[j] == "\n":
+                    break
+                j += 1
+            j = min(j + 1, n)
+            out.append(quote + " " * max(0, j - i - 2) + quote)
+            i = j
+        else:
+            out.append(ch)
+            i += 1
+    return "".join(out)
+
+
+def allowed_rules(raw_lines: list[str], index: int) -> set[str]:
+    """Rules suppressed for raw_lines[index] (same line or the line above)."""
+    rules: set[str] = set()
+    for probe in (index, index - 1):
+        if 0 <= probe < len(raw_lines):
+            match = ALLOW_RE.search(raw_lines[probe])
+            if match:
+                rules.update(r.strip() for r in match.group(1).split(","))
+    return rules
+
+
+def is_library_code(path: Path) -> bool:
+    return "src" in path.parts
+
+
+def is_unit(path: Path, directory: str, *names: str) -> bool:
+    return directory in path.parts and path.name in names
+
+
 def match_balanced(text: str, start: int, open_ch: str, close_ch: str) -> int:
     """Index one past the balanced group opening at text[start] (which must
     be open_ch); len(text) when unbalanced."""
@@ -189,6 +254,12 @@ def match_balanced(text: str, start: int, open_ch: str, close_ch: str) -> int:
                 return i + 1
         i += 1
     return len(text)
+
+
+def skip_space(text: str, i: int) -> int:
+    while i < len(text) and text[i].isspace():
+        i += 1
+    return i
 
 
 def line_of(offsets: list[int], pos: int) -> int:
@@ -210,6 +281,125 @@ def line_offsets(text: str) -> list[int]:
         if ch == "\n":
             offsets.append(i + 1)
     return offsets
+
+
+# ---------------------------------------------------------------------------
+# Source rules (every file, whichever frontend runs the structural rules)
+# ---------------------------------------------------------------------------
+
+RAW_RANDOM_RE = re.compile(
+    r"(?<![:\w])(?:"
+    r"std::rand\b|std::srand\b|\brand\s*\(\s*\)|\bsrand\s*\(|"
+    r"std::random_device\b|\brandom_device\b|"
+    r"std::mt19937(?:_64)?\b|\bmt19937(?:_64)?\b|"
+    r"\btime\s*\(\s*(?:nullptr|NULL|0)\s*\)"
+    r")"
+)
+PARALLEL_REDUCE_RE = re.compile(
+    r"std\s*::\s*(?:transform_reduce|reduce)\s*\(\s*std\s*::\s*execution\s*::"
+)
+IOSTREAM_RE = re.compile(r"#\s*include\s*<iostream>")
+WALL_CLOCK_RE = re.compile(
+    r"(?:steady_clock|system_clock|high_resolution_clock)\s*::\s*now\s*\(|"
+    r"\bclock_gettime\s*\(|\bgettimeofday\s*\(|\bgetrusage\s*\("
+)
+ENV_READ_RE = re.compile(r"\benv_(?:or|flag)\s*\(")
+
+# (rule, pattern, applies to path). Each exemption is the construct's one
+# sanctioned home: the seeded PRNG; the single clock read
+# (obs::wall_now_ns) and the single getrusage read (util::peak_rss_bytes);
+# the scenario config boundary (apply_env_overrides), the global pool's
+# MSTC_THREADS and the env helpers' own definitions.
+LINE_RULES = (
+    ("raw-random", RAW_RANDOM_RE,
+     lambda p: not is_unit(p, "util", "prng.hpp", "prng.cpp")),
+    ("parallel-float-reduce", PARALLEL_REDUCE_RE, lambda p: True),
+    ("iostream-in-lib", IOSTREAM_RE, is_library_code),
+    ("wall-clock", WALL_CLOCK_RE,
+     lambda p: is_library_code(p) and not (
+         is_unit(p, "obs", "profile.cpp") or is_unit(p, "util", "rusage.cpp"))),
+    ("env-read", ENV_READ_RE,
+     lambda p: is_library_code(p) and not (
+         is_unit(p, "runner", "config.cpp") or
+         is_unit(p, "util", "thread_pool.cpp", "options.hpp", "options.cpp"))),
+)
+
+FOR_RE = re.compile(r"\bfor\s*\(")
+# Subscript into a fleet-indexed array: positions[v], controllers[u],
+# epoch_positions_[v], ...
+FLEET_SUBSCRIPT_RE = re.compile(r"(?:positions|controllers)\w*\s*\[")
+RECEIVER_SET_RE = re.compile(r"receiver|target")
+# schedule_fanout is deliberately absent: routing the loop through the
+# batched API is the fix.
+SCHEDULE_CALL_RE = re.compile(r"\bschedule_(?:at|in)\s*\(")
+
+
+def statement_end(text: str, start: int) -> int:
+    """One past the statement at text[start]: a braced block, a for-loop
+    with its body, or everything up to the next `;` outside a group."""
+    if start >= len(text):
+        return len(text)
+    if text[start] == "{":
+        return match_balanced(text, start, "{", "}")
+    loop = FOR_RE.match(text, start)
+    if loop:
+        header_end = match_balanced(text, loop.end() - 1, "(", ")")
+        return statement_end(text, skip_space(text, header_end))
+    i = start
+    while i < len(text) and text[i] != ";":
+        if text[i] in "({":
+            i = match_balanced(text, i, text[i], ")" if text[i] == "(" else "}")
+        else:
+            i += 1
+    return min(i + 1, len(text))
+
+
+def check_loops(path: Path, stripped: str) -> list[Finding]:
+    """all-pairs-scan: an index for-loop that is the first statement of
+    another index for-loop's body, and whose header or body subscripts a
+    fleet array. per-receiver-schedule: a for-loop over a receiver/target
+    set whose own body (nested loops excluded) schedules an event."""
+    loops: dict[int, tuple[str, int, int]] = {}  # `for` -> header, body
+    for match in FOR_RE.finditer(stripped):
+        header_end = match_balanced(stripped, match.end() - 1, "(", ")")
+        body = skip_space(stripped, header_end)
+        loops[match.start()] = (stripped[match.end():header_end - 1], body,
+                                statement_end(stripped, body))
+    offsets = line_offsets(stripped)
+    findings: list[Finding] = []
+    for pos, (header, start, end) in loops.items():
+        if RECEIVER_SET_RE.search(header):
+            nested = [(p, loops[p][2]) for p in loops if start <= p < end]
+            if any(not any(p <= call.start() < e for p, e in nested)
+                   for call in SCHEDULE_CALL_RE.finditer(stripped, start, end)):
+                findings.append(Finding(path, line_of(offsets, pos),
+                                        "per-receiver-schedule"))
+        # The spatial grid is the sanctioned replacement for all-pairs
+        # scans; its own cell walks are exempt.
+        if header.count(";") < 2 or \
+                path.name in ("spatial_grid.hpp", "spatial_grid.cpp"):
+            continue
+        first = skip_space(stripped, start + 1) \
+            if stripped.startswith("{", start) else start
+        if first in loops:
+            inner_header, inner_start, inner_end = loops[first]
+            if inner_header.count(";") >= 2 and (
+                    FLEET_SUBSCRIPT_RE.search(inner_header) or
+                    FLEET_SUBSCRIPT_RE.search(stripped, inner_start, inner_end)):
+                findings.append(Finding(path, line_of(offsets, first),
+                                        "all-pairs-scan"))
+    return findings
+
+
+def check_source(path: Path, stripped: str) -> list[Finding]:
+    active = [(rule, pattern) for rule, pattern, applies in LINE_RULES
+              if applies(path)]
+    findings = [Finding(path, index + 1, rule)
+                for index, line in enumerate(stripped.splitlines())
+                for rule, pattern in active if pattern.search(line)]
+    if is_library_code(path):
+        findings.extend(check_loops(path, stripped))
+    return findings
 
 
 # ---------------------------------------------------------------------------
@@ -416,14 +606,9 @@ def hot_reachable(functions: list[FunctionDef],
     return reach
 
 
-def builtin_check_file(path: Path) -> list[Finding]:
-    try:
-        text = path.read_text(encoding="utf-8", errors="replace")
-    except OSError as error:
-        print(f"mstc_tidy: cannot read {path}: {error}", file=sys.stderr)
-        return []
+def builtin_check_file(path: Path, text: str,
+                       stripped: str) -> list[Finding]:
     raw_lines = text.splitlines()
-    stripped = strip_comments_and_strings(text)
     stripped_lines = stripped.splitlines()
     offsets = line_offsets(stripped)
     findings: list[Finding] = []
@@ -935,25 +1120,10 @@ def collect_files(paths: list[str]) -> list[Path]:
     return files
 
 
-def filter_suppressed(path: Path, findings: list[Finding]) -> list[Finding]:
-    if not findings:
-        return findings
-    try:
-        raw_lines = path.read_text(encoding="utf-8",
-                                   errors="replace").splitlines()
-    except OSError:
-        return findings
-    kept = []
-    for finding in findings:
-        if finding.rule not in allowed_rules(raw_lines, finding.line - 1):
-            kept.append(finding)
-    return kept
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(
         prog="mstc_tidy.py",
-        description="AST-grade contract checker for the mstc repo.")
+        description="Determinism and contract checker for the mstc repo.")
     parser.add_argument("paths", nargs="*", help="files or directories")
     parser.add_argument("--build-dir", type=Path, default=None,
                         help="build tree containing compile_commands.json "
@@ -1002,12 +1172,19 @@ def main() -> int:
 
     findings: list[Finding] = []
     for path in files:
-        per_file: list[Finding] | None = None
-        if libclang is not None:
-            per_file = libclang.check_file(path)
+        try:
+            text = path.read_text(encoding="utf-8", errors="replace")
+        except OSError as error:
+            print(f"mstc_tidy: cannot read {path}: {error}", file=sys.stderr)
+            continue
+        stripped = strip_comments_and_strings(text)
+        per_file = libclang.check_file(path) if libclang is not None else None
         if per_file is None:
-            per_file = builtin_check_file(path)
-        findings.extend(filter_suppressed(path, per_file))
+            per_file = builtin_check_file(path, text, stripped)
+        raw_lines = text.splitlines()
+        findings.extend(
+            finding for finding in per_file + check_source(path, stripped)
+            if finding.rule not in allowed_rules(raw_lines, finding.line - 1))
 
     unique: dict[tuple, Finding] = {}
     for finding in findings:

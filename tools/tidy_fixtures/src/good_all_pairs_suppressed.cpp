@@ -15,7 +15,7 @@ std::size_t brute_baseline(const std::vector<Vec2>& positions,
   std::size_t close = 0;
   // Differential-test oracle: the grid path is byte-compared against this.
   for (std::size_t u = 0; u < positions.size(); ++u) {
-    // mstc-lint: allow(all-pairs-scan)
+    // mstc-tidy: allow(all-pairs-scan)
     for (std::size_t v = u + 1; v < positions.size(); ++v) {
       const double dx = positions[u].x - positions[v].x;
       const double dy = positions[u].y - positions[v].y;

@@ -8,7 +8,7 @@ namespace mstc::fixture {
 
 // Output location only: never changes what a run computes.
 std::string dump_directory() {
-  // mstc-lint: allow(env-read)
+  // mstc-tidy: allow(env-read)
   return util::env_or("MSTC_FIXTURE_DUMP_DIR", std::string{});
 }
 

@@ -16,7 +16,7 @@ double backoff(std::size_t v);
 void forward(Sim& simulator,
              const std::vector<std::size_t>& forward_targets) {
   // Each forward draws its own backoff: per-receiver times differ.
-  // mstc-lint: allow(per-receiver-schedule)
+  // mstc-tidy: allow(per-receiver-schedule)
   for (std::size_t v : forward_targets) {
     simulator.schedule_in(backoff(v), [v] { (void)v; });
   }

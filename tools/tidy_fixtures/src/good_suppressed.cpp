@@ -1,4 +1,4 @@
-// Fixture: findings silenced with mstc-lint allow() markers must not be
+// Fixture: findings silenced with mstc-tidy allow() markers must not be
 // reported — same-line and previous-line placements both count.
 #include <string>
 #include <unordered_map>
@@ -8,13 +8,13 @@ struct Cache {
 
   // Order-independent: clear() touches every entry regardless of order.
   void wipe() {
-    // mstc-lint: allow(unordered-iteration)
+    // mstc-tidy: allow(unordered-iteration)
     for (auto& [key, value] : entries) value.clear();
   }
 
   std::size_t bytes() const {
     std::size_t total = 0;
-    for (const auto& [key, value] : entries) total += value.size();  // mstc-lint: allow(unordered-iteration)
+    for (const auto& [key, value] : entries) total += value.size();  // mstc-tidy: allow(unordered-iteration)
     return total;
   }
 };
