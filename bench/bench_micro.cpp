@@ -31,21 +31,51 @@ std::vector<geom::Vec2> neighborhood(std::size_t total, std::uint64_t seed) {
   return positions;
 }
 
+/// A fast fleet's neighborhood around the origin: the first half of the
+/// members within the normal range, the rest stale senders out to 2.5x
+/// it, as a 160 m/s view still holds them under the 2.5 s expiry.
+std::vector<geom::Vec2> stale_neighborhood(std::size_t total,
+                                           std::uint64_t seed) {
+  util::Xoshiro256 rng(seed);
+  std::vector<geom::Vec2> positions{{0.0, 0.0}};
+  while (positions.size() < total) {
+    const double reach =
+        2 * positions.size() < total ? kRange : 2.5 * kRange;
+    const geom::Vec2 p{rng.uniform(-reach, reach),
+                       rng.uniform(-reach, reach)};
+    if (p.norm() <= reach) positions.push_back(p);
+  }
+  return positions;
+}
+
+/// One refresh's topology work as the simulator pays it: ViewGraph::assign
+/// (owner row evaluated, every other pair deferred) plus the protocol's
+/// select, which evaluates the pairs it reads.
 void BM_ProtocolSelect(benchmark::State& state, const char* name) {
   const auto suite = topology::make_protocol(name);
   const auto positions =
-      neighborhood(static_cast<std::size_t>(state.range(0)), 99);
+      stale_neighborhood(static_cast<std::size_t>(state.range(0)), 99);
   std::vector<topology::NodeId> ids(positions.size());
-  for (std::size_t i = 0; i < ids.size(); ++i) ids[i] = i;
-  const auto view =
-      topology::make_consistent_view(positions, ids, 0, kRange, *suite.cost);
+  std::vector<topology::VersionedPosition> records(positions.size());
+  for (std::size_t i = 0; i < positions.size(); ++i) {
+    ids[i] = i;
+    records[i] = {positions[i], 1, 0.0};
+  }
+  std::vector<std::span<const topology::VersionedPosition>> versions;
+  for (const auto& record : records) versions.emplace_back(&record, 1);
+  topology::ViewGraph view;
+  std::vector<std::size_t> chosen;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(suite.protocol->select(view));
+    view.assign(ids, versions, kRange, *suite.cost);
+    suite.protocol->select(view, chosen);
+    benchmark::DoNotOptimize(chosen.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK_CAPTURE(BM_ProtocolSelect, rng, "RNG")->Arg(19)->Arg(40);
 BENCHMARK_CAPTURE(BM_ProtocolSelect, mst, "MST")->Arg(19)->Arg(40);
 BENCHMARK_CAPTURE(BM_ProtocolSelect, spt2, "SPT-2")->Arg(19)->Arg(40);
+BENCHMARK_CAPTURE(BM_ProtocolSelect, spt4, "SPT-4")->Arg(19)->Arg(40);
 BENCHMARK_CAPTURE(BM_ProtocolSelect, yao, "Yao")->Arg(19)->Arg(40);
 BENCHMARK_CAPTURE(BM_ProtocolSelect, cbtc, "CBTC")->Arg(19)->Arg(40);
 

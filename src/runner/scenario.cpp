@@ -516,6 +516,12 @@ void validate(const ScenarioConfig& config) {
     reject("node_count", "at most 2^32 nodes, got " +
                              std::to_string(config.node_count));
   }
+  // LocalViewStore keeps each sender's record count in 32 bits.
+  constexpr std::uint64_t kMaxHistory = (std::uint64_t{1} << 32) - 1;
+  if (config.effective_history() > kMaxHistory) {
+    reject("history_limit", "at most 2^32 - 1 records, got " +
+                                std::to_string(config.effective_history()));
+  }
   const auto positive = [&](const char* field, double value) {
     if (!(std::isfinite(value) && value > 0.0)) {
       reject(field, "must be finite and > 0, got " + std::to_string(value));

@@ -15,7 +15,8 @@
 namespace mstc::runner {
 
 /// Rejects a configuration no scenario can run, with a
-/// std::invalid_argument naming the field: an empty fleet; a normal range,
+/// std::invalid_argument naming the field: an empty fleet or one whose
+/// ids overflow 32 bits; a history limit above 2^32 - 1; a normal range,
 /// duration or Hello interval that is not finite and positive; an average
 /// speed, flood or snapshot rate, warmup or flood settle time that is not
 /// finite and non-negative; a Hello jitter outside [0, 1) or a Hello loss

@@ -13,7 +13,9 @@
 // holds exactly when some path's links all undercut cost_min(u, v). The
 // direct link never qualifies (cost_max >= cost_min), so B may route over
 // it. The scan only compares CostKeys (pinned to the per-neighbor search
-// by select_reference_test.cpp).
+// by select_reference_test.cpp). A link whose cost floor
+// (ViewGraph::cost_floor) already exceeds the label it would relax is
+// skipped unevaluated: its cost_max key cannot lower that label.
 #include <algorithm>
 #include <limits>
 
@@ -38,7 +40,11 @@ void LmstProtocol::select(const ViewGraph& view,
   for (std::size_t a = 0;;) {
     settled_[a] = 1;
     for (std::size_t b = 1; b < n; ++b) {
-      if (settled_[b] || !view.has_link(a, b)) continue;
+      if (settled_[b]) continue;
+      // Strictly greater only: an equal value can still win on the
+      // CostKey id tie-break.
+      if (view.cost_floor(a, b) > bottleneck_[b].value) continue;
+      if (!view.has_link(a, b)) continue;
       bottleneck_[b] = std::min(
           bottleneck_[b], std::max(bottleneck_[a], view.cost_max(a, b)));
     }

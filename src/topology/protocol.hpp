@@ -47,7 +47,9 @@ class Protocol {
 };
 
 /// Relative neighborhood graph (link-removal condition 1): remove (u, v)
-/// when a witness w sees both c(u, w) and c(w, v) below c(u, v).
+/// when a witness w sees both c(u, w) and c(w, v) below c(u, v). The
+/// (w, v) link is read only after the owner-row test passes and its cost
+/// floor (ViewGraph::cost_floor) does not exceed c(u, v).
 class RngProtocol final : public Protocol {
  public:
   [[nodiscard]] std::string_view name() const override { return "RNG"; }
@@ -72,7 +74,9 @@ class GabrielProtocol final : public Protocol {
 /// Local MST (Li, Hou & Sha; link-removal condition 3): remove (u, v) when
 /// a u-v path exists whose every link is cheaper than (u, v). Equivalent to
 /// keeping exactly the local-MST edges at u by the cycle property.
-/// Decided for every neighbor by one O(d^2) bottleneck-label scan.
+/// Decided for every neighbor by one O(d^2) bottleneck-label scan, which
+/// evaluates a link only when its cost floor does not exceed the label it
+/// would relax.
 class LmstProtocol final : public Protocol {
  public:
   [[nodiscard]] std::string_view name() const override { return "MST"; }
@@ -94,10 +98,11 @@ struct SptScratch {
 
 /// Link-removal condition 2 for every neighbor in one O(d^2) pass: writes
 /// into `out` (cleared first) each view index v that no strictly cheaper
-/// multi-hop path (cost_max links) undercuts cost_min(0, v). Only members
-/// with inside[v] != 0 take part, as targets and as relays; an empty
-/// `inside` admits every member. Shared by SptProtocol and
-/// SearchRegionSptProtocol.
+/// multi-hop path (cost_max links) undercuts cost_min(0, v), i.e. whose
+/// shortest-path label is not below cost_min(0, v). A link is evaluated
+/// only when its cost floor could still lower a label. Only members with
+/// inside[v] != 0 take part, as targets and as relays; an empty `inside`
+/// admits every member. Shared by SptProtocol and SearchRegionSptProtocol.
 void spt_children(const ViewGraph& view, std::span<const char> inside,
                   SptScratch& scratch, std::vector<std::size_t>& out);
 

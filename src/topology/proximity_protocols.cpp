@@ -16,6 +16,9 @@ void RngProtocol::select(const ViewGraph& view,
       // Owner-row test first: the (w, v) link is evaluated on first read
       // (ViewGraph::assign), and most witnesses fail here without it.
       if (!view.has_link(0, w) || !(direct > view.cost_max(0, w))) continue;
+      // A floor past the direct cost fails the (w, v) test unevaluated
+      // (cost_max >= floor); an equal one may still win the id tie-break.
+      if (view.cost_floor(w, v) > direct.value) continue;
       removed = view.has_link(w, v) && direct > view.cost_max(w, v);
     }
     if (!removed) out.push_back(v);

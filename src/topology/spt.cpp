@@ -9,13 +9,18 @@
 //
 // One single-source pass decides every neighbor, O(d^2) per select: a
 // dense Dijkstra from the owner over the unmasked view gives labels D, and
-// v is removed iff some relay w (not the owner, not v) linked to v has
-// D(w) + cost_max(w, v) < cost_min(u, v). That is exactly the condition
+// v is removed iff D(v) < cost_min(u, v). That is exactly the condition
 // with (u, v) masked: only a path starting with (u, v) can beat the masked
-// optimum, and it already costs cost_max(u, v) >= cost_min(u, v). IEEE
-// addition of non-negative costs is monotone, so the labels that matter
-// carry the same bits (proof in docs/PERFORMANCE.md, "Single-source
-// selection"; pinned by select_reference_test.cpp).
+// optimum, and it already costs cost_max(u, v) >= cost_min(u, v), so a
+// label below the direct cost ends in a relay w (not the owner, not v)
+// with D(w) + cost_max(w, v) < cost_min(u, v). IEEE addition of
+// non-negative costs is monotone, so the labels that matter carry the
+// same bits (proofs in docs/PERFORMANCE.md, "Single-source selection" and
+// "Pairs pruned by a cost floor"; pinned by select_reference_test.cpp).
+//
+// A link is evaluated only when its cost floor (ViewGraph::cost_floor)
+// could still lower a label: a relaxation the floor rules out is a no-op,
+// so most neighbor pairs of a large view are never resolved.
 #include <algorithm>
 #include <limits>
 
@@ -48,7 +53,11 @@ void spt_children(const ViewGraph& view, std::span<const char> inside,
   for (std::size_t a = 0;;) {
     settled[a] = 1;
     for (std::size_t b = 1; b < n; ++b) {
-      if (settled[b] || !member(b) || !view.has_link(a, b)) continue;
+      if (settled[b] || !member(b)) continue;
+      // cost_max >= cost_min >= floor, and a rounded sum never drops when
+      // a term grows: a link whose floor cannot undercut b's label cannot.
+      if (!(dist[a] + view.cost_floor(a, b) < dist[b])) continue;
+      if (!view.has_link(a, b)) continue;
       dist[b] = std::min(dist[b], dist[a] + view.cost_max(a, b).value);
     }
     a = 0;
@@ -59,17 +68,10 @@ void spt_children(const ViewGraph& view, std::span<const char> inside,
     }
     if (a == 0) break;
   }
+  // Strict inequality: equal-cost detours keep the link (conservative).
+  // Non-members keep an infinite label and are never output.
   for (std::size_t v = 1; v < n; ++v) {
-    if (!member(v)) continue;
-    const double direct = view.cost_min(0, v).value;
-    bool removed = false;
-    for (std::size_t w = 1; w < n && !removed; ++w) {
-      // Strict inequality: equal-cost detours keep the link
-      // (conservative). Non-members keep an infinite label.
-      removed = w != v && view.has_link(w, v) &&
-                dist[w] + view.cost_max(w, v).value < direct;
-    }
-    if (!removed) out.push_back(v);
+    if (member(v) && !(dist[v] < view.cost_min(0, v).value)) out.push_back(v);
   }
 }
 

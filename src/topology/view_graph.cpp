@@ -139,6 +139,33 @@ ViewGraph::State ViewGraph::resolve(std::size_t i, std::size_t j) const {
   return kLinked;
 }
 
+// mstc:hot — one squared distance per version combination, per pair a
+// protocol prunes or reads
+double ViewGraph::deferred_floor(std::size_t i, std::size_t j) const {
+  // Deferred pairs are never on the owner row (assign evaluates it), so
+  // resolve would apply its reject: the same squared distances in the same
+  // canonical order give the same verdict.
+  const std::span<const geom::Vec2> from = positions(std::min(i, j));
+  const std::span<const geom::Vec2> to = positions(std::max(i, j));
+  if (from.size() == 1 && to.size() == 1) {
+    const double d_sq = geom::distance_sq(from[0], to[0]);
+    if (d_sq > reject_sq_) return std::numeric_limits<double>::infinity();
+    return cost_->cost_floor(d_sq);
+  }
+  double min_sq = std::numeric_limits<double>::infinity();
+  double max_sq = 0.0;
+  for (const geom::Vec2 p : from) {
+    for (const geom::Vec2 q : to) {
+      const double d_sq = geom::distance_sq(p, q);
+      min_sq = std::min(min_sq, d_sq);
+      max_sq = std::max(max_sq, d_sq);
+    }
+  }
+  if (max_sq > reject_sq_) return std::numeric_limits<double>::infinity();
+  // The combination that gives d_min has a squared distance >= min_sq.
+  return cost_->cost_floor(min_sq);
+}
+
 void ViewGraph::set_link(std::size_t i, std::size_t j, double dist_min,
                          double dist_max, CostKey c_min, CostKey c_max) {
   link(i, j, dist_min, dist_max, c_min, c_max);

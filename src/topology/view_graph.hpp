@@ -6,9 +6,16 @@
 // to a point and the protocols implement the paper's original link-removal
 // conditions 1-3; with multiple versions (weak consistency, Section 4.2)
 // the same code implements the enhanced conditions 1-3.
+//
+// Neighbor-neighbor pairs are evaluated on first read (assign). Before a
+// read, a protocol can ask cost_floor for a lower bound on the pair's cost
+// that evaluates nothing, and skip the pair when the bound already decides
+// its removal test: SPT, MST and RNG leave most pairs of a large view
+// unevaluated that way.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -101,6 +108,26 @@ class ViewGraph {
     return value(distance_max_, i, j);
   }
 
+  /// A lower bound on cost_min(i, j).value that evaluates nothing, +inf
+  /// for a pair without a link. An evaluated pair gives its cost_min value
+  /// (or +inf). A deferred pair gives +inf when its largest squared
+  /// distance over the version combinations is past the reject margin (so
+  /// it would be absent), and otherwise CostModel::cost_floor of the
+  /// smallest. Never changes pair state or links_evaluated(); a protocol
+  /// checks it before a read the floor can already decide.
+  [[nodiscard]] double cost_floor(std::size_t i, std::size_t j) const {
+    const std::size_t k = flat(i, j);
+    switch (state_[k]) {
+      case kLinked:
+        return cost_min_[k].value;
+      case kAbsent:
+        return std::numeric_limits<double>::infinity();
+      case kDeferred:
+        break;
+    }
+    return deferred_floor(i, j);
+  }
+
   /// Pairs evaluated since the last assign/reset, the owner row included.
   [[nodiscard]] std::uint64_t links_evaluated() const noexcept {
     return links_evaluated_;
@@ -125,6 +152,8 @@ class ViewGraph {
   }
   /// Evaluates a deferred pair and memoizes it in both orientations.
   State resolve(std::size_t i, std::size_t j) const;
+  /// cost_floor of a deferred pair, from squared distances only.
+  [[nodiscard]] double deferred_floor(std::size_t i, std::size_t j) const;
   /// Sizes the per-pair arrays for `nodes` members, every pair `initial`.
   void prepare(std::size_t nodes, State initial);
   [[nodiscard]] std::span<const geom::Vec2> positions(

@@ -143,6 +143,23 @@ TEST(Validate, RejectsAFleetWhoseIdsOverflow32Bits) {
   }
 }
 
+TEST(Validate, RejectsAHistoryWhoseCountOverflows32Bits) {
+  // LocalViewStore keeps each sender's record count in 32 bits; a larger
+  // limit used to reach the store's allocation as std::bad_alloc.
+  constexpr auto kMaxHistory =
+      static_cast<std::size_t>((std::uint64_t{1} << 32) - 1);
+  EXPECT_NO_THROW(
+      validate(with([](auto& c) { c.history_limit = kMaxHistory; })));
+  try {
+    validate(with([](auto& c) { c.history_limit = kMaxHistory + 1; }));
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_EQ(std::string(error.what()),
+              "ScenarioConfig.history_limit: at most 2^32 - 1 records, got "
+              "4294967296");
+  }
+}
+
 TEST(Validate, RejectsANonPositiveOrNonFiniteRange) {
   EXPECT_THROW((void)run_scenario(with([](auto& c) { c.normal_range = 0.0; })),
                std::invalid_argument);

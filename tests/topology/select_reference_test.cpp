@@ -11,8 +11,9 @@
 // Views come from tests/support/view_fixtures.hpp through the production
 // builders: point views (build_latest_view), interval views
 // (build_weak_view, k = 2 and 3), lattice positions where equal-cost
-// detours are exact, stale members beyond the normal range, co-located
-// members (all costs zero), and owner-only and one-member views.
+// detours are exact, stale members beyond the normal range (out to 3x it,
+// where the cost floor prunes most pairs), co-located members (all costs
+// zero), and owner-only and one-member views.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -314,6 +315,31 @@ TEST_P(SelectReferenceTest, StaleMembersBeyondRangeMatchPerNeighborSearch) {
                         : core::build_weak_view(store, kRange, cost);
         },
         400 + k, 300);
+  }
+}
+
+TEST_P(SelectReferenceTest, FarStaleMembersMatchPerNeighborSearch) {
+  // The shape of a 160 m/s Fig. 6 view: about half the members within the
+  // normal range and half stale senders out to 3x it, kept by the 2.5 s
+  // expiry. Most pairs are then certainly absent, and the cost floor
+  // decides them without evaluating the link.
+  for (const std::size_t k : {std::size_t{1}, std::size_t{2}}) {
+    const auto removing = expect_identical(
+        [k](util::Xoshiro256& rng, const CostModel& cost) {
+          auto tracks = fixtures::random_tracks(
+              rng, neighbors_up_to(rng, 25), k, kRange, 40.0);
+          const auto stale = fixtures::random_tracks(
+              rng, neighbors_up_to(rng, 25), k, 3.0 * kRange, 40.0);
+          tracks.versions.insert(tracks.versions.end(),
+                                 stale.versions.begin() + 1,
+                                 stale.versions.end());
+          tracks.ids = fixtures::shuffled_ids(rng, tracks.versions.size());
+          const auto store = fixtures::store_of(tracks, k);
+          return k == 1 ? core::build_latest_view(store, kRange, cost)
+                        : core::build_weak_view(store, kRange, cost);
+        },
+        600 + k, 300);
+    EXPECT_GT(removing, 0u) << "k = " << k;
   }
 }
 

@@ -362,29 +362,123 @@ TEST(ViewGraphAssign, BuildersAssignTheStoresNewestRecords) {
   }
 }
 
-TEST(ViewGraphAssign, RngReadsFewerPairsThanTheViewHolds) {
-  // A dense point view: RNG's witness search stops at the first witness,
-  // and tests the owner row before the (w, v) link, so it evaluates only
-  // part of the neighbor-neighbor pairs. Its selection is unchanged.
-  const ProtocolSuite rng_suite = make_protocol("RNG");
-  util::Xoshiro256 rng(81);
+/// Selects with `name` over 20 dense point views of 40 members assigned
+/// lazily, and checks that the selection is the eager view's while fewer
+/// than half of the neighbor-neighbor pairs were evaluated.
+void expect_reads_under_half_the_pairs(const char* name, std::uint64_t seed) {
+  const ProtocolSuite suite = make_protocol(name);
+  util::Xoshiro256 rng(seed);
   for (int trial = 0; trial < 20; ++trial) {
     const auto tracks = fixtures::random_tracks(rng, 40, 1, kRange, 0.0);
     const Members members = members_of(tracks, 1);
     ViewGraph lazy;
-    lazy.assign(members.ids, members.versions, kRange, *rng_suite.cost);
+    lazy.assign(members.ids, members.versions, kRange, *suite.cost);
     ViewGraph eager;
     eager_assemble(members.ids.front(), members.ids, members.versions, kRange,
-                   *rng_suite.cost, eager);
-    const auto selected = rng_suite.protocol->select(lazy);
-    EXPECT_EQ(selected, rng_suite.protocol->select(eager));
+                   *suite.cost, eager);
+    const auto selected = suite.protocol->select(lazy);
+    EXPECT_EQ(selected, suite.protocol->select(eager)) << name;
     const std::size_t n = lazy.node_count();
     const std::size_t owner_row = n - 1;
     const std::size_t pairs = n * (n - 1) / 2;
-    EXPECT_LT(lazy.links_evaluated(), pairs);
+    EXPECT_LT(lazy.links_evaluated(), pairs) << name;
     EXPECT_LT(lazy.links_evaluated() - owner_row, (pairs - owner_row) / 2)
-        << "RNG evaluated most neighbor pairs";
+        << name << " evaluated most neighbor pairs";
   }
+}
+
+TEST(ViewGraphAssign, RngReadsFewerPairsThanTheViewHolds) {
+  // A dense point view: RNG's witness search stops at the first witness,
+  // and tests the owner row before the (w, v) link, so it evaluates only
+  // part of the neighbor-neighbor pairs. Its selection is unchanged.
+  expect_reads_under_half_the_pairs("RNG", 81);
+}
+
+TEST(ViewGraphAssign, SptAndMstReadFewerThanHalfThePairs) {
+  // The single-source passes skip every relaxation whose cost floor
+  // cannot lower a label, so they too leave most pairs unevaluated.
+  for (const char* name : {"SPT-2", "SPT-4", "MST"}) {
+    expect_reads_under_half_the_pairs(name, 83);
+  }
+}
+
+/// Reads cost_floor of every ordered pair of `view` in an order shuffled
+/// by `rng`, each just before the pair's own has_link, and checks it: a
+/// floor read evaluates nothing, never exceeds cost_min, is +inf only
+/// where has_link then reports no link, and is exact (cost_min, or +inf)
+/// once the pair is evaluated. Counts the deferred pairs whose floor was
+/// +inf and those whose finite floor preceded a link.
+void expect_floors_bound(const ViewGraph& view, util::Xoshiro256& rng,
+                         std::size_t& rejected, std::size_t& bounded) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::size_t n = view.node_count();
+  std::vector<std::pair<std::size_t, std::size_t>> pairs;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      if (i != j) pairs.emplace_back(i, j);
+    }
+  }
+  for (std::size_t k = pairs.size(); k > 1; --k) {
+    std::swap(pairs[k - 1], pairs[rng.uniform_below(k)]);
+  }
+  for (const auto& [i, j] : pairs) {
+    const std::uint64_t before = view.links_evaluated();
+    const double floor = view.cost_floor(i, j);
+    EXPECT_EQ(view.links_evaluated(), before)
+        << "cost_floor evaluated (" << i << ", " << j << ")";
+    const bool has = view.has_link(i, j);
+    const bool deferred = view.links_evaluated() != before;
+    if (has) {
+      EXPECT_LE(floor, view.cost_min(i, j).value)
+          << "floor above cost_min (" << i << ", " << j << ")";
+      EXPECT_TRUE(same_bits(view.cost_floor(i, j), view.cost_min(i, j).value));
+      if (deferred) ++bounded;
+    } else {
+      EXPECT_EQ(view.cost_floor(i, j), kInf);
+      if (deferred && floor == kInf) ++rejected;
+    }
+  }
+}
+
+TEST(ViewGraphAssign, CostFloorBoundsEveryPairWithoutEvaluatingIt) {
+  const DistanceCost distance;
+  const EnergyCost free_space(2.0);
+  const EnergyCost two_ray(4.0);
+  const EnergyCost other_alpha(3.0, 7.5);
+  const std::array<const CostModel*, 4> models{&distance, &free_space,
+                                               &two_ray, &other_alpha};
+  util::Xoshiro256 rng(97);
+  ViewGraph view;
+  std::size_t rejected = 0;
+  std::size_t bounded = 0;
+  for (int trial = 0; trial < 160; ++trial) {
+    // Point and interval views, stale members out to 1.5x the range,
+    // members at exactly the range (the reject's margin band), and
+    // co-located members (every floor trivial).
+    const std::size_t k = 1 + static_cast<std::size_t>(trial % 3);
+    const fixtures::Tracks tracks =
+        trial % 4 == 0   ? fixtures::random_tracks(rng, up_to(rng, 30), k,
+                                                   1.5 * kRange, 30.0)
+        : trial % 4 == 1 ? range_edge_tracks(rng, 1 + up_to(rng, 20), k,
+                                             k == 1 ? 0.0 : 1e-9)
+        : trial % 4 == 2 ? fixtures::colocated_tracks(rng, up_to(rng, 8), k)
+                         : fixtures::random_tracks(rng, up_to(rng, 30), k,
+                                                   kRange, 20.0);
+    const Members members = members_of(tracks, k);
+    view.assign(members.ids, members.versions, kRange,
+                *models[rng.uniform_below(models.size())]);
+    expect_floors_bound(view, rng, rejected, bounded);
+  }
+  EXPECT_GT(rejected, 100u);
+  EXPECT_GT(bounded, 100u);
+
+  // An explicit view holds no deferred pair: every floor is exact.
+  view.reset(7, 2);
+  view.set_link(0, 2, 3.0, 3.0, CostKey::make(3.0, 7, 9),
+                CostKey::make(3.0, 7, 9));
+  EXPECT_EQ(view.cost_floor(2, 0), 3.0);
+  EXPECT_EQ(view.cost_floor(1, 2), std::numeric_limits<double>::infinity());
+  EXPECT_EQ(view.links_evaluated(), 0u);
 }
 
 TEST(ViewGraphAssign, OwnerRowOnlyProtocolsEvaluateNoNeighborPair) {
