@@ -24,7 +24,8 @@ int main() {
 
   util::Table table({"protocol", "buffer_m", "speed_mps", "delivered",
                      "link_broken", "stuck", "mean_hops"});
-  table.set_title("Greedy routing over stale views (100 random pairs/snapshot)");
+  table.set_title(
+      "Greedy routing over stale views (100 random pairs/snapshot)");
 
   for (const char* protocol_name : {"RNG", "SPT-2"}) {
     const auto suite = topology::make_protocol(protocol_name);

@@ -15,21 +15,23 @@
 //
 // Rows compare the recompute cache ON vs OFF and assert byte-identical
 // RunStats between the two (results_identical), mirroring the determinism
-// suite's guarantee. A separate cache-on `scaling` block runs one 4 s
+// suite's guarantee. A separate cache-on `scaling` block runs a 4 s
 // replication per fleet size from n = 2500 to n = 100000 on the calling
-// thread; tools/bench_check.py gates its event counts exactly and holds
-// the n = 100000 events/s at >= 0.40x the n = 2500 rate. Writes
+// thread, repeating the rows that take under a second (the fastest run
+// counts, and every repeat must process the same events);
+// tools/bench_check.py gates its event counts exactly and holds the
+// n = 100000 events/s at >= 0.40x the n = 2500 rate. Writes
 // BENCH_kernel.json (see docs/PERFORMANCE.md):
 //
-//   ./build/bench/bench_kernel                  # full sweep -> BENCH_kernel.json
-//   ./build/bench/bench_kernel --out <path>     # alternate output path
-//   ./build/bench/bench_kernel --ref <path>     # compare events_per_s against
-//                                               #   a previous BENCH_kernel.json
-//                                               #   (speedup_vs_pre_pr column)
-//   ./build/bench/bench_kernel --smoke          # CI guard: tiny n, asserts
-//                                               #   results_identical and the
-//                                               #   waypoint allocs/event
-//                                               #   ceiling; no JSON
+//   ./build/bench/bench_kernel               # full sweep -> BENCH_kernel.json
+//   ./build/bench/bench_kernel --out <path>  # alternate output path
+//   ./build/bench/bench_kernel --ref <path>  # compare events_per_s against
+//                                            #   a previous BENCH_kernel.json
+//                                            #   (speedup_vs_pre_pr column)
+//   ./build/bench/bench_kernel --smoke       # CI guard: tiny n, asserts
+//                                            #   results_identical and the
+//                                            #   waypoint allocs/event
+//                                            #   ceiling; no JSON
 #include <atomic>
 #include <bit>
 #include <cinttypes>
@@ -247,6 +249,12 @@ ModeResult run_mode(const RowSpec& row, std::uint64_t seed_stream,
 
 constexpr double kScalingDuration = 4.0;  // simulated seconds per row
 constexpr std::uint64_t kScalingSeed = 20040815;
+// A row whose first run takes less than kScalingMinWall seconds runs again
+// until its runs add up to that, and at least kScalingMinRepeats times;
+// the fastest run is reported. The slope gate divides by the n = 2500
+// row, and one ~0.1 s run of it is at the mercy of host noise.
+constexpr double kScalingMinWall = 1.0;
+constexpr int kScalingMinRepeats = 3;
 
 struct ScalingSpec {
   const char* label;
@@ -265,8 +273,10 @@ constexpr ScalingSpec kScalingRows[] = {
 struct ScalingResult {
   ScalingSpec spec;
   std::uint64_t events = 0;
-  double wall_s = 0.0;
+  double wall_s = 0.0;  // the fastest run
   double events_per_s = 0.0;
+  int repeats = 0;
+  bool events_identical = true;  // every repeat processed `events` events
 };
 
 ScalingResult run_scaling_row(const ScalingSpec& spec) {
@@ -277,16 +287,31 @@ ScalingResult run_scaling_row(const ScalingSpec& spec) {
   // state at every n.
   cfg.flood_rate = 0.5;
   cfg.seed = mstc::util::derive_seed(kScalingSeed, spec.seed_stream);
-  const OneRun run = run_once(cfg, /*cache_on=*/true);
   ScalingResult result;
   result.spec = spec;
-  result.events = run.events;
-  result.wall_s = static_cast<double>(run.wall_ns) * 1e-9;
-  result.events_per_s =
-      run.wall_ns > 0
-          ? static_cast<double>(run.events) * 1e9 /
-                static_cast<double>(run.wall_ns)
-          : 0.0;
+  double first_s = 0.0;
+  double total_s = 0.0;
+  do {
+    const OneRun run = run_once(cfg, /*cache_on=*/true);
+    const double wall_s = static_cast<double>(run.wall_ns) * 1e-9;
+    if (result.repeats == 0) {
+      first_s = wall_s;
+      result.events = run.events;
+    } else if (run.events != result.events) {
+      result.events_identical = false;
+    }
+    if (result.repeats == 0 || wall_s < result.wall_s) {
+      result.wall_s = wall_s;
+      result.events_per_s =
+          run.wall_ns > 0
+              ? static_cast<double>(run.events) * 1e9 /
+                    static_cast<double>(run.wall_ns)
+              : 0.0;
+    }
+    total_s += wall_s;
+    ++result.repeats;
+  } while (first_s < kScalingMinWall &&
+           (total_s < kScalingMinWall || result.repeats < kScalingMinRepeats));
   return result;
 }
 
@@ -385,9 +410,10 @@ void append_scaling_json(std::string& json,
     const ScalingResult& r = rows[i];
     std::snprintf(buffer, sizeof(buffer),
                   "      {\"label\": \"%s\", \"nodes\": %zu, \"events\": "
-                  "%" PRIu64 ", \"wall_s\": %.6f, \"events_per_s\": %.1f}%s\n",
+                  "%" PRIu64 ", \"wall_s\": %.6f, \"events_per_s\": %.1f, "
+                  "\"repeats\": %d}%s\n",
                   r.spec.label, r.spec.nodes, r.events, r.wall_s,
-                  r.events_per_s, i + 1 < rows.size() ? "," : "");
+                  r.events_per_s, r.repeats, i + 1 < rows.size() ? "," : "");
     json += buffer;
   }
   std::snprintf(buffer, sizeof(buffer), "    ],\n    \"slope\": %.2f}\n",
@@ -577,9 +603,16 @@ int main(int argc, char** argv) {
   std::vector<ScalingResult> scaling;
   for (const ScalingSpec& spec : kScalingRows) {
     scaling.push_back(run_scaling_row(spec));
-    std::printf("%-26s %10.0f ev/s  (%" PRIu64 " events, %.2f s)\n",
-                spec.label, scaling.back().events_per_s, scaling.back().events,
-                scaling.back().wall_s);
+    const ScalingResult& r = scaling.back();
+    std::printf("%-26s %10.0f ev/s  (%" PRIu64 " events, %.2f s, fastest "
+                "of %d)\n",
+                spec.label, r.events_per_s, r.events, r.wall_s, r.repeats);
+    if (!r.events_identical) {
+      std::fprintf(stderr,
+                   "error: %s: repeats processed different event counts\n",
+                   spec.label);
+      return 1;
+    }
   }
   std::printf("slope n=%zu / n=%zu: %.2f\n", scaling.back().spec.nodes,
               scaling.front().spec.nodes, scaling_slope(scaling));

@@ -14,11 +14,11 @@
 // summed kSetup / kTraceGen wall time of both, their ratio
 // (setup_amortization), the hit/miss counters, and a byte compare.
 //
-//   ./build/bench/bench_snapshot                # full run -> BENCH_snapshot.json
-//   ./build/bench/bench_snapshot --out <path>   # alternate output path
-//   ./build/bench/bench_snapshot --smoke        # CI guard: tiny n, asserts
-//                                               #   identity + grid pruning +
-//                                               #   cache hits; no JSON
+//   ./build/bench/bench_snapshot              # full run -> BENCH_snapshot.json
+//   ./build/bench/bench_snapshot --out <path> # alternate output path
+//   ./build/bench/bench_snapshot --smoke      # CI guard: tiny n, asserts
+//                                             #   identity + grid pruning +
+//                                             #   cache hits; no JSON
 #include <bit>
 #include <cinttypes>
 #include <cmath>

@@ -16,6 +16,7 @@
 #include "core/consistency.hpp"
 #include "obs/probe.hpp"
 #include "topology/protocol.hpp"
+#include "util/prefetch.hpp"
 
 namespace mstc::core {
 
@@ -69,6 +70,14 @@ class NodeController {
 
   /// Records a received neighbor Hello.
   void on_hello_receive(const HelloRecord& hello, double now);
+
+  /// First prefetch stage of a coming on_hello_receive (a hint only; see
+  /// runner::Scenario's Hello delivery): the fields a receive reads in this
+  /// object. The later stages go through store().
+  void prefetch_receive_header() const noexcept {
+    util::prefetch(&store_, sizeof store_);
+    util::prefetch(&probe_, sizeof probe_);
+  }
 
   /// Recomputes the logical selection from the current store per the
   /// configured mode (ViewSync calls this on every packet transmission).

@@ -10,10 +10,10 @@
 // Link enumeration is routed through graph::SpatialGrid above a crossover
 // fleet size under a bit-identity contract: grid queries with a
 // conservatively padded radius produce a guaranteed superset of every node
-// the exact range predicates can accept, in ascending index order, and the
-// caller re-applies the exact predicates — so both paths evaluate identical
-// predicates on identical values in identical order (identity argument in
-// docs/PERFORMANCE.md, differential suite in tests/metrics/).
+// the exact range predicates can accept, sorted into ascending index order,
+// and the caller re-applies the exact predicates — so both paths evaluate
+// identical predicates on identical values in identical order (identity
+// argument in docs/PERFORMANCE.md, differential suite in tests/metrics/).
 #pragma once
 
 #include <algorithm>
@@ -86,9 +86,9 @@ namespace mstc::core {
 /// With `grid` null every candidate set is 0..n-1 — the brute-force scan,
 /// byte-identical to the pre-grid nested loop. Otherwise `grid` is rebuilt
 /// over `positions` (cell size = largest padded range) and queried with
-/// conservative_query_radius(extended_range(u)); the grid's sorted-output
-/// contract keeps the visit order identical to the brute path, so exact
-/// predicate re-application yields bit-identical results.
+/// conservative_query_radius(extended_range(u)); sorting the grid's
+/// cell-order hits keeps the visit order identical to the brute path, so
+/// exact predicate re-application yields bit-identical results.
 template <typename Visit>
 void for_each_snapshot_candidates(std::span<const NodeController> controllers,
                                   std::span<const geom::Vec2> positions,
@@ -111,6 +111,7 @@ void for_each_snapshot_candidates(std::span<const NodeController> controllers,
     grid->query(positions[u],
                 conservative_query_radius(controllers[u].extended_range()),
                 candidates);
+    std::sort(candidates.begin(), candidates.end());
     visit(u, candidates);
   }
 }

@@ -9,10 +9,6 @@ namespace mstc::core {
 
 namespace {
 
-bool sender_less(const LocalViewStore::Slot& slot, NodeId sender) {
-  return slot.sender < sender;
-}
-
 // Raw bits, not ==: views are compared bit for bit, and -0.0 == 0.0.
 bool same_bits(const topology::VersionedPosition& a,
                const topology::VersionedPosition& b) {
@@ -33,24 +29,23 @@ LocalViewStore::LocalViewStore(NodeId owner, std::size_t history_limit,
 }
 
 std::size_t LocalViewStore::find(NodeId sender) const noexcept {
-  // Compares in NodeId width, so an id beyond 32 bits is simply absent.
-  const auto it =
-      std::lower_bound(slots_.begin(), slots_.end(), sender, sender_less);
-  if (it == slots_.end() || it->sender != sender) return kMissing;
-  return static_cast<std::size_t>(it - slots_.begin());
+  const std::size_t index = lower_slot(slots_, sender);
+  if (index == slots_.size() || slots_[index].sender != sender) {
+    return kMissing;
+  }
+  return index;
 }
 
 // mstc:hot — runs once per Hello reception
 void LocalViewStore::record(const HelloRecord& hello) {
   assert(hello.sender <= std::numeric_limits<std::uint32_t>::max());
   const std::size_t limit = history_limit_;
-  const auto it = std::lower_bound(slots_.begin(), slots_.end(), hello.sender,
-                                   sender_less);
-  const auto index = static_cast<std::size_t>(it - slots_.begin());
-  if (it == slots_.end() || it->sender != hello.sender) {
+  const std::size_t index = lower_slot(slots_, hello.sender);
+  if (index == slots_.size() || slots_[index].sender != hello.sender) {
     // A join: one slot and one stride of records, shifted in place.
-    slots_.insert(it, Slot{.sender = static_cast<std::uint32_t>(hello.sender),
-                           .count = 0});
+    slots_.insert(
+        slots_.begin() + static_cast<std::ptrdiff_t>(index),
+        Slot{.sender = static_cast<std::uint32_t>(hello.sender), .count = 0});
     records_.insert(
         records_.begin() + static_cast<std::ptrdiff_t>(index * limit), limit,
         topology::VersionedPosition{});

@@ -15,12 +15,20 @@
 //   records_  stride history_limit: sender i's newest-first window lives in
 //             place at records_[i * history_limit], its first
 //             slots_[i].count records valid.
-// A Hello receive binary-searches the slots and shifts at most
+// A Hello receive finds its sender with a branch-free lower bound over the
+// slots (its halving steps are conditional moves, so a cold store costs
+// memory latency, not mispredictions too) and shifts at most
 // history_limit - 1 records inside one window. A join inserts one slot and
 // one stride of records, an expiry compacts both arrays in one pass, and
 // neither allocates once the capacity covers the largest neighborhood seen.
 // The selection refresh — the hot consumer — walks slots() once in
 // ascending-id order and reads each window through history_at().
+//
+// Receives land on cold stores: a Hello fans out to ~density receivers
+// whose stores were last touched a Hello interval ago. prefetch_slots()
+// and prefetch_window() let the caller load, a few deliveries ahead, the
+// slot lines a coming receive searches and the record window it writes
+// (see runner::Scenario's Hello delivery).
 #pragma once
 
 #include <cstdint>
@@ -30,6 +38,7 @@
 #include <vector>
 
 #include "core/hello.hpp"
+#include "util/prefetch.hpp"
 
 namespace mstc::core {
 
@@ -55,6 +64,23 @@ class LocalViewStore {
   /// Records a Hello (own or neighbor's). Newer versions push older ones
   /// out once the history limit is reached.
   void record(const HelloRecord& hello);
+
+  /// Prefetch stages of a coming record() (hints only; see
+  /// runner::Scenario's Hello delivery). prefetch_slots() loads the slot
+  /// lines the sender search reads, and reads this store's header, so
+  /// issue it once the header is cached. prefetch_window() loads the
+  /// record window of `sender`, and searches the slots for it, so issue it
+  /// once they are cached too.
+  void prefetch_slots() const noexcept {
+    util::prefetch(slots_.data(), slots_.size() * sizeof(Slot));
+  }
+  void prefetch_window(NodeId sender) const noexcept {
+    const std::size_t index = lower_slot(slots_, sender);
+    if (index < slots_.size()) {
+      util::prefetch(records_.data() + index * history_limit_,
+                     history_limit_ * sizeof(topology::VersionedPosition));
+    }
+  }
 
   /// Drops every sender (except the owner) whose newest record is older
   /// than now - expiry.
@@ -135,6 +161,25 @@ class LocalViewStore {
  private:
   static constexpr std::size_t kMissing =
       std::numeric_limits<std::size_t>::max();
+
+  /// Index of the first slot whose sender is not below `sender`
+  /// (slots.size() when there is none). Each halving step picks its half
+  /// with a conditional move instead of a branch. Compares in NodeId
+  /// width, so an id beyond 32 bits sorts after every slot.
+  static std::size_t lower_slot(std::span<const Slot> slots,
+                                NodeId sender) noexcept {
+    if (slots.empty()) return 0;
+    const Slot* base = slots.data();
+    std::size_t n = slots.size();
+    // The answer stays in [base, base + n].
+    while (n > 1) {
+      const std::size_t half = n / 2;
+      base = base[half].sender < sender ? base + half : base;
+      n -= half;
+    }
+    return static_cast<std::size_t>(base - slots.data()) +
+           (base->sender < sender ? 1 : 0);
+  }
 
   /// Index of `sender` in slots_, or kMissing.
   [[nodiscard]] std::size_t find(NodeId sender) const noexcept;

@@ -55,8 +55,8 @@ namespace mstc::graph {
 /// Kruskal MST edge list over an explicit edge set (used by local MST
 /// computations where the graph object is never materialized). Ties are
 /// broken by (weight, u, v) so the result is unique for distinct weights.
-[[nodiscard]] std::vector<EdgeRecord> kruskal_mst(std::size_t node_count,
-                                                  std::vector<EdgeRecord> edges);
+[[nodiscard]] std::vector<EdgeRecord> kruskal_mst(
+    std::size_t node_count, std::vector<EdgeRecord> edges);
 
 constexpr double kUnreachable = std::numeric_limits<double>::infinity();
 

@@ -1,6 +1,7 @@
 #include "graph/spatial_grid.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 
 namespace mstc::graph {
@@ -14,20 +15,21 @@ SpatialGrid::SpatialGrid(std::span<const geom::Vec2> positions,
 
 void SpatialGrid::rebuild(std::span<const geom::Vec2> positions,
                           double cell_size) {
-  positions_.assign(positions.begin(), positions.end());
   cell_size_ = cell_size > 0.0 ? cell_size : 1.0;
   min_cx_ = 0;
   min_cy_ = 0;
   cols_ = 1;
   rows_ = 1;
   order_.clear();
-  if (positions_.empty()) {
+  xs_.clear();
+  ys_.clear();
+  if (positions.empty()) {
     start_.assign(2, 0);
     return;
   }
-  double min_x = positions_[0].x, max_x = positions_[0].x;
-  double min_y = positions_[0].y, max_y = positions_[0].y;
-  for (const auto& p : positions_) {
+  double min_x = positions[0].x, max_x = positions[0].x;
+  double min_y = positions[0].y, max_y = positions[0].y;
+  for (const auto& p : positions) {
     min_x = std::min(min_x, p.x);
     max_x = std::max(max_x, p.x);
     min_y = std::min(min_y, p.y);
@@ -46,7 +48,7 @@ void SpatialGrid::rebuild(std::span<const geom::Vec2> positions,
   const double requested =
       static_cast<double>(cols_) * static_cast<double>(rows_);
   const double cap = static_cast<double>(std::max<std::size_t>(
-      4 * positions_.size(), std::size_t{64}));
+      4 * positions.size(), std::size_t{64}));
   if (requested > cap) {
     cell_size_ *= std::sqrt(requested / cap);
     min_cx_ = static_cast<long>(std::floor(min_x / cell_size_));
@@ -56,21 +58,25 @@ void SpatialGrid::rebuild(std::span<const geom::Vec2> positions,
   }
 
   const std::size_t cells = static_cast<std::size_t>(cols_ * rows_);
-  cell_scratch_.resize(positions_.size());
+  cell_scratch_.resize(positions.size());
   start_.assign(cells + 1, 0);
-  for (std::size_t i = 0; i < positions_.size(); ++i) {
-    const long cx = static_cast<long>(std::floor(positions_[i].x / cell_size_));
-    const long cy = static_cast<long>(std::floor(positions_[i].y / cell_size_));
+  for (std::size_t i = 0; i < positions.size(); ++i) {
+    const long cx = static_cast<long>(std::floor(positions[i].x / cell_size_));
+    const long cy = static_cast<long>(std::floor(positions[i].y / cell_size_));
     cell_scratch_[i] = cell_index(cx, cy);
     ++start_[cell_scratch_[i] + 1];
   }
   for (std::size_t c = 0; c < cells; ++c) start_[c + 1] += start_[c];
-  order_.resize(positions_.size());
+  order_.resize(positions.size());
+  xs_.resize(positions.size());
+  ys_.resize(positions.size());
   cursor_scratch_.assign(start_.begin(), start_.end() - 1);
-  // Filling in ascending i keeps every cell's slice of order_ ascending,
-  // which query() relies on for its sorted-output guarantee.
-  for (std::size_t i = 0; i < positions_.size(); ++i) {
-    order_[cursor_scratch_[cell_scratch_[i]]++] = i;
+  // Filling in ascending i keeps every cell's slice of order_ ascending.
+  for (std::size_t i = 0; i < positions.size(); ++i) {
+    const std::size_t k = cursor_scratch_[cell_scratch_[i]]++;
+    order_[k] = i;
+    xs_[k] = positions[i].x;
+    ys_[k] = positions[i].y;
   }
 }
 
@@ -80,10 +86,14 @@ std::size_t SpatialGrid::cell_index(long cx, long cy) const noexcept {
   return static_cast<std::size_t>(row * cols_ + col);
 }
 
+// mstc:hot — runs once per grid-served Hello broadcast; fills the
+// caller-owned out buffer
 void SpatialGrid::query(geom::Vec2 center, double radius,
                         std::vector<std::size_t>& out) const {
+  // The cell span below casts radius / cell_size_ to long.
+  assert(std::isfinite(radius));
   out.clear();
-  if (positions_.empty()) return;
+  if (order_.empty()) return;
   const double r_sq = radius * radius;
   const long span = static_cast<long>(std::ceil(radius / cell_size_));
   const long ccx = static_cast<long>(std::floor(center.x / cell_size_));
@@ -92,21 +102,30 @@ void SpatialGrid::query(geom::Vec2 center, double radius,
   const long hi_cx = std::min(ccx + span, min_cx_ + cols_ - 1);
   const long lo_cy = std::max(ccy - span, min_cy_);
   const long hi_cy = std::min(ccy + span, min_cy_ + rows_ - 1);
+  if (lo_cx > hi_cx || lo_cy > hi_cy) return;
+  // The block's cells of one grid row are adjacent in the CSR order, so
+  // each row is one contiguous run [start_[first], start_[last + 1]).
+  std::size_t scanned = 0;
   for (long cy = lo_cy; cy <= hi_cy; ++cy) {
-    for (long cx = lo_cx; cx <= hi_cx; ++cx) {
-      const std::size_t cell = cell_index(cx, cy);
-      for (std::size_t k = start_[cell]; k < start_[cell + 1]; ++k) {
-        const std::size_t i = order_[k];
-        if (geom::distance_sq(center, positions_[i]) <= r_sq) {
-          out.push_back(i);
-        }
-      }
+    scanned +=
+        start_[cell_index(hi_cx, cy) + 1] - start_[cell_index(lo_cx, cy)];
+  }
+  // Sized for every scanned point, so the scan writes each one and counts
+  // only the hits: no branch on the distance test.
+  out.resize(scanned);
+  std::size_t* const hits = out.data();
+  std::size_t count = 0;
+  for (long cy = lo_cy; cy <= hi_cy; ++cy) {
+    const std::size_t end = start_[cell_index(hi_cx, cy) + 1];
+    for (std::size_t k = start_[cell_index(lo_cx, cy)]; k < end; ++k) {
+      // geom::distance_sq(center, point), term for term.
+      const double dx = center.x - xs_[k];
+      const double dy = center.y - ys_[k];
+      hits[count] = order_[k];
+      count += dx * dx + dy * dy <= r_sq ? 1 : 0;
     }
   }
-  // Hits arrive grouped by cell (ascending within each cell); restore the
-  // documented global ascending-index order. The result set is small
-  // (O(density * radius^2)), so this costs far less than the scan.
-  std::sort(out.begin(), out.end());
+  out.resize(count);
 }
 
 }  // namespace mstc::graph

@@ -4,11 +4,18 @@
 // range r of p?". A cell size equal to the query radius bounds the search
 // to the 3x3 cell neighborhood, turning the O(n^2) scan into O(n + k).
 //
-// Ordering guarantee: query() emits indices in strictly ascending order.
-// sim::Medium relies on this to produce receiver sets that are
-// bit-identical to a brute-force ascending scan (see docs/PERFORMANCE.md),
-// so it is a documented contract, not an implementation accident; the unit
-// tests assert it without sorting the output first.
+// Memory layout: the points are stored in cell order (a CSR table of
+// row-major cells), coordinates in two arrays parallel to their indices.
+// The cells of one grid row are adjacent in that order, so a query scans
+// each row of its block as one contiguous run and appends hits without a
+// branch.
+//
+// Ordering: query() emits hits in cell order — rows ascending, cells left
+// to right within a row, ascending index within a cell — not in index
+// order. Callers that need ascending indices (sim::Medium's receiver sets
+// and link lists, the snapshot candidate sets) sort what they keep, which
+// is cheaper than sorting every hit (see docs/PERFORMANCE.md, "The Hello
+// path at n = 10 000").
 #pragma once
 
 #include <cstddef>
@@ -43,31 +50,32 @@ class SpatialGrid {
   /// so this is a hot maintenance path.
   void rebuild(std::span<const geom::Vec2> positions, double cell_size);
 
-  /// Indices of all points within `radius` of `center` (inclusive),
-  /// appended to `out` (cleared first) in ascending index order.
-  /// Self-inclusion is the caller's concern: a point at distance 0 is
-  /// reported.
+  /// Indices of all points within `radius` (finite) of `center`
+  /// (inclusive), each once, written to `out` (cleared first) in cell
+  /// order. Self-inclusion is the caller's concern: a point at distance 0
+  /// is reported.
   void query(geom::Vec2 center, double radius,
              std::vector<std::size_t>& out) const;
 
   [[nodiscard]] std::size_t point_count() const noexcept {
-    return positions_.size();
+    return order_.size();
   }
 
  private:
   [[nodiscard]] std::size_t cell_index(long cx, long cy) const noexcept;
 
-  std::vector<geom::Vec2> positions_;
   double cell_size_ = 1.0;
   long min_cx_ = 0;
   long min_cy_ = 0;
   long cols_ = 1;
   long rows_ = 1;
-  // CSR layout: points of cell c are order_[start_[c] .. start_[c+1]).
-  // Within a cell, order_ holds ascending indices (counting-sort fill in
-  // index order); query() merges cells and restores global ascending order.
+  // CSR layout: points of cell c are order_[start_[c] .. start_[c+1]),
+  // ascending within a cell (counting-sort fill in index order); xs_[k] and
+  // ys_[k] are the coordinates of point order_[k].
   std::vector<std::size_t> start_;
   std::vector<std::size_t> order_;
+  std::vector<double> xs_;
+  std::vector<double> ys_;
   // Rebuild scratch (per-point cell ids, per-cell write cursors), kept as
   // members so rebuild() is allocation-free at steady state.
   std::vector<std::size_t> cell_scratch_;

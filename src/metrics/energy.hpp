@@ -36,8 +36,8 @@ struct LifetimeReport {
 /// frame at `normal_range`. Workload: every node sends `tx_per_second`
 /// data frames with its own range and receives from its logical in-degree.
 /// Hellos cost the same in both configurations and are excluded.
-[[nodiscard]] LifetimeReport estimate_lifetime(const EnergyModel& model,
-                                               const topology::BuiltTopology& topo,
-                                               double normal_range);
+[[nodiscard]] LifetimeReport estimate_lifetime(
+    const EnergyModel& model, const topology::BuiltTopology& topo,
+    double normal_range);
 
 }  // namespace mstc::metrics

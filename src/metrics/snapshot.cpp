@@ -62,17 +62,17 @@ std::size_t mutual_logical_links(
 
 }  // namespace
 
-SnapshotStats measure_snapshot(std::span<const core::NodeController> controllers,
-                               std::span<const geom::Vec2> positions) {
+SnapshotStats measure_snapshot(
+    std::span<const core::NodeController> controllers,
+    std::span<const geom::Vec2> positions) {
   SnapshotScratch scratch;
   return measure_snapshot(controllers, positions, scratch);
 }
 
-SnapshotStats measure_snapshot(std::span<const core::NodeController> controllers,
-                               std::span<const geom::Vec2> positions,
-                               SnapshotScratch& scratch,
-                               const SnapshotConfig& config,
-                               const obs::Probe* probe) {
+SnapshotStats measure_snapshot(
+    std::span<const core::NodeController> controllers,
+    std::span<const geom::Vec2> positions, SnapshotScratch& scratch,
+    const SnapshotConfig& config, const obs::Probe* probe) {
   assert(controllers.size() == positions.size());
   const std::size_t n = controllers.size();
   SnapshotStats stats;

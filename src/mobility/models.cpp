@@ -42,8 +42,12 @@ void advance_with_reflection(std::vector<Leg>& legs, geom::Vec2& pos,
     if (remaining > 1e-12) {
       // A wall was hit before the step ended: flip the offending component.
       constexpr double kEps = 1e-9;
-      if (pos.x <= kEps || pos.x >= area.width - kEps) velocity.x = -velocity.x;
-      if (pos.y <= kEps || pos.y >= area.height - kEps) velocity.y = -velocity.y;
+      if (pos.x <= kEps || pos.x >= area.width - kEps) {
+        velocity.x = -velocity.x;
+      }
+      if (pos.y <= kEps || pos.y >= area.height - kEps) {
+        velocity.y = -velocity.y;
+      }
       if (step <= 1e-12 && time_to_wall <= 1e-12 &&
           velocity.norm_sq() < 1e-18) {
         break;  // zero velocity pinned at a wall: nothing more to do
@@ -138,7 +142,8 @@ Trace GaussMarkov::make_trace(util::Xoshiro256& rng, double duration) const {
     // current heading (keeps average speed near mean_speed_).
     const geom::Vec2 mean_velocity = velocity.normalized() * mean_speed_;
     velocity = alpha_ * velocity + (1.0 - alpha_) * mean_velocity +
-               geom::Vec2{noise_scale * rng.normal(), noise_scale * rng.normal()};
+               geom::Vec2{noise_scale * rng.normal(),
+                          noise_scale * rng.normal()};
   }
   return Trace(std::move(legs), duration);
 }

@@ -17,31 +17,17 @@ Trace::Trace(std::vector<Leg> legs, double duration)
 geom::Vec2 Trace::position(double t) const noexcept {
   if (legs_.empty()) return {};
   t = std::clamp(t, 0.0, duration_);
-  const auto it = std::upper_bound(
-      legs_.begin(), legs_.end(), t,
-      [](double value, const Leg& leg) { return value < leg.start_time; });
-  const Leg& leg = legs_[static_cast<std::size_t>(it - legs_.begin()) - 1];
+  const Leg& leg = legs_[leg_at(t)];
   return leg.origin + leg.velocity * (t - leg.start_time);
 }
 
-geom::Vec2 Trace::position(double t, std::size_t& cursor) const noexcept {
-  if (legs_.empty()) return {};
+std::size_t Trace::leg_at(double t) const noexcept {
+  assert(!legs_.empty());
   t = std::clamp(t, 0.0, duration_);
-  // Fast path: reuse or advance the caller's cursor; queries arrive in
-  // loosely increasing time order, so the last leg index is usually right.
-  std::size_t i = std::min(cursor, legs_.size() - 1);
-  if (legs_[i].start_time > t) {
-    // Fall back to binary search for out-of-order queries.
-    const auto it = std::upper_bound(
-        legs_.begin(), legs_.end(), t,
-        [](double value, const Leg& leg) { return value < leg.start_time; });
-    i = static_cast<std::size_t>(it - legs_.begin()) - 1;
-  } else {
-    while (i + 1 < legs_.size() && legs_[i + 1].start_time <= t) ++i;
-  }
-  cursor = i;
-  const Leg& leg = legs_[i];
-  return leg.origin + leg.velocity * (t - leg.start_time);
+  const auto it = std::upper_bound(
+      legs_.begin(), legs_.end(), t,
+      [](double value, const Leg& leg) { return value < leg.start_time; });
+  return static_cast<std::size_t>(it - legs_.begin()) - 1;
 }
 
 }  // namespace mstc::mobility

@@ -8,9 +8,9 @@
 //
 // A Trace is immutable after construction and safe to share across threads
 // (mobility::TraceCache hands one generated set to every sweep point with
-// identical mobility inputs). The leg-cursor fast path lives in
-// caller-owned state — sim::Medium keeps one cursor per node — so sharing
-// involves no mutation at all.
+// identical mobility inputs). The per-query fast path lives in caller-owned
+// state — sim::Medium keeps one flat record of each node's current leg — so
+// sharing involves no mutation at all.
 #pragma once
 
 #include <cstddef>
@@ -34,16 +34,14 @@ class Trace {
   /// Legs must be sorted by start_time with legs.front().start_time == 0.
   Trace(std::vector<Leg> legs, double duration);
 
-  /// Exact position at time t; t is clamped to [0, duration]. Binary
+  /// Exact position at time t: with t clamped to [0, duration], the leg
+  /// leg_at(t) evaluated as origin + velocity * (t - start_time). Binary
   /// search over the legs, O(log legs).
   [[nodiscard]] geom::Vec2 position(double t) const noexcept;
 
-  /// Same result, amortized O(1) for loosely increasing t: `cursor` is a
-  /// caller-owned leg-index hint, advanced in place (start it at 0). The
-  /// hint only seeds the search — any cursor value yields the same
-  /// position — so per-caller cursors keep shared traces immutable.
-  [[nodiscard]] geom::Vec2 position(double t,
-                                    std::size_t& cursor) const noexcept;
+  /// Index of the leg position(t) evaluates: the last leg starting at or
+  /// before t clamped to [0, duration]. Requires at least one leg.
+  [[nodiscard]] std::size_t leg_at(double t) const noexcept;
 
   /// Largest leg speed; the adaptive buffer zone uses this bound.
   [[nodiscard]] double max_speed() const noexcept { return max_speed_; }

@@ -6,7 +6,7 @@
 // sweep — so every replication that shares those inputs can share one
 // immutable TraceSet instead of regenerating it. The cache hands out
 // std::shared_ptr<const TraceSet>; Trace itself is immutable after
-// construction (leg cursors live in per-Medium state), so concurrent
+// construction (leg records live in per-Medium state), so concurrent
 // readers need no synchronization.
 //
 // Caching is a pure wall-clock optimization: generation is deterministic

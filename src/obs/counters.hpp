@@ -65,7 +65,8 @@ enum class Hist : std::size_t {
   kCount                  // sentinel
 };
 
-inline constexpr std::size_t kHistCount = static_cast<std::size_t>(Hist::kCount);
+inline constexpr std::size_t kHistCount =
+    static_cast<std::size_t>(Hist::kCount);
 
 [[nodiscard]] const char* hist_name(Hist hist) noexcept;
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 
@@ -294,14 +295,41 @@ class Scenario {
       if (drop_by_loss_injection()) continue;
       fanout_receivers_.push_back(static_cast<std::uint32_t>(v));
     }
-    auto deliver = [this, hello, at](std::uint32_t v) {
-      nodes_[v].on_hello_receive(hello, at);
+    auto deliver = [this, hello, at](std::span<const std::uint32_t> targets,
+                                     std::size_t i) {
+      prefetch_receivers(targets, i, hello.sender);
+      nodes_[targets[i]].on_hello_receive(hello, at);
     };
     // The hot-path closure: ONE per Hello (not per receiver). It is shared
     // across deliveries, so it must not mutate its captures;
     // on_hello_receive touches only the receiving node's state.
     static_assert(sim::FanoutHandler::fits_inline<decltype(deliver)>);
     simulator_.schedule_fanout(at, fanout_receivers_, std::move(deliver));
+  }
+
+  /// Deliveries between two prefetch stages of a Hello receive.
+  static constexpr std::size_t kPrefetchDistance = 3;
+
+  /// A software pipeline over one Hello's receivers. Receives land on
+  /// stores last touched a Hello interval ago, so each would wait on three
+  /// dependent cache misses: the controller's fields, the slot lines its
+  /// sender search reads, and the sender's record window. Delivery i
+  /// loads the first for receiver i + 3D, the second for receiver i + 2D
+  /// and the third for receiver i + D (D = kPrefetchDistance), each stage
+  /// reading what the one before it loaded D deliveries earlier. Hints
+  /// only: results never depend on them.
+  void prefetch_receivers(std::span<const std::uint32_t> targets,
+                          std::size_t i, NodeId sender) const noexcept {
+    constexpr std::size_t kD = kPrefetchDistance;
+    if (i + 3 * kD < targets.size()) {
+      nodes_[targets[i + 3 * kD]].prefetch_receive_header();
+    }
+    if (i + 2 * kD < targets.size()) {
+      nodes_[targets[i + 2 * kD]].store().prefetch_slots();
+    }
+    if (i + kD < targets.size()) {
+      nodes_[targets[i + kD]].store().prefetch_window(sender);
+    }
   }
 
   /// Independent per-reception Hello loss (failure injection).
@@ -533,6 +561,13 @@ void validate(const ScenarioConfig& config) {
     }
   };
   positive("normal_range", config.normal_range);
+  // The buffer widens every transmission range: an infinite or NaN width
+  // reaches the medium's grid cell arithmetic, and a negative one would
+  // transmit short of the farthest logical neighbour.
+  non_negative("buffer_width", config.buffer_width);
+  // The mobility models draw waypoints inside the area.
+  positive("area.width", config.area.width);
+  positive("area.height", config.area.height);
   // Every mobility model generates legs while t < duration, so an infinite
   // duration never finishes building the fleet.
   positive("duration", config.duration);

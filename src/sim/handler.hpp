@@ -13,10 +13,13 @@
 // silent perf cliff.
 //
 // Two instantiations are used by the kernel:
-//   Handler       = BasicHandler<void()>               — one event, one call.
-//   FanoutHandler = BasicHandler<void(std::uint32_t)>  — one batched
+//   Handler       = BasicHandler<void()> — one event, one call.
+//   FanoutHandler = BasicHandler<void(std::span<const std::uint32_t>,
+//                                     std::size_t)> — one batched
 //     broadcast: the kernel invokes the same stored callable once per
-//     receiver id, so a d-receiver Hello costs one closure instead of d.
+//     delivery with the whole receiver span and the delivery's index in
+//     it, so a d-receiver Hello costs one closure instead of d, and a
+//     delivery can see the receivers after it (to prefetch their state).
 //
 // BasicHandler is move-only (like the closures it carries) and its
 // moved-from state is empty; invoking an empty handler is undefined
@@ -27,6 +30,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <new>
+#include <span>
 #include <type_traits>
 #include <utility>
 
@@ -60,15 +64,15 @@ class BasicHandler<void(Args...)> {
                 !std::is_same_v<std::decay_t<F>, BasicHandler> &&
                 std::is_invocable_r_v<void, std::decay_t<F>&, Args...>>>
   // NOLINTNEXTLINE(google-explicit-constructor): converts like std::function
-  BasicHandler(F&& callable) {  // NOLINT(bugprone-forwarding-reference-overload)
+  BasicHandler(F&& fn) {  // NOLINT(bugprone-forwarding-reference-overload)
     using Fn = std::decay_t<F>;
     if constexpr (fits_inline<Fn>) {
-      ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(callable));
+      ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(fn));
       ops_ = &kInlineOps<Fn>;
     } else {
       // Documented fallback: one allocation, pointer parked inline.
       ::new (static_cast<void*>(storage_))
-          Fn*(new Fn(std::forward<F>(callable)));
+          Fn*(new Fn(std::forward<F>(fn)));
       ops_ = &kHeapOps<Fn>;
     }
   }
@@ -142,8 +146,10 @@ class BasicHandler<void(Args...)> {
 /// One event, one call — the carrier behind every schedule_* entry point.
 using Handler = BasicHandler<void()>;
 
-/// One batched broadcast: invoked once per receiver id by the kernel's
-/// fan-out dispatch (see Simulator::schedule_fanout).
-using FanoutHandler = BasicHandler<void(std::uint32_t)>;
+/// One batched broadcast: invoked once per delivery by the kernel's fan-out
+/// dispatch as fn(receivers, i), delivering to receivers[i] (see
+/// Simulator::schedule_fanout).
+using FanoutHandler =
+    BasicHandler<void(std::span<const std::uint32_t>, std::size_t)>;
 
 }  // namespace mstc::sim

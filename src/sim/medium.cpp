@@ -24,7 +24,34 @@ Medium::Medium(std::span<const mobility::Trace> traces, Config config)
   for (const mobility::Trace& trace : traces_) {
     max_speed_ = std::max(max_speed_, trace.max_speed());
   }
-  trace_cursors_.assign(traces_.size(), 0);
+  // Empty records: each node's first query fills its own, so set-up reads
+  // no trace's legs (a replication that queries few nodes never pays).
+  legs_.resize(traces_.size());
+}
+
+Medium::LegRecord Medium::leg_record(const mobility::Trace& trace,
+                                     double t) noexcept {
+  const std::vector<mobility::Leg>& legs = trace.legs();
+  // A trace without legs gets the empty record, so every query falls back.
+  if (legs.empty()) return {};
+  const std::size_t i = trace.leg_at(t);
+  // Capped at the duration: past it Trace::position clamps t, so the
+  // record must not cover those times.
+  const double end = i + 1 < legs.size()
+                         ? std::min(legs[i + 1].start_time, trace.duration())
+                         : trace.duration();
+  return {.start = legs[i].start_time,
+          .end = end,
+          .origin = legs[i].origin,
+          .velocity = legs[i].velocity};
+}
+
+// mstc:hot — once per node per leg change, and for times off the trace
+geom::Vec2 Medium::advance_leg(NodeId node, double t) const noexcept {
+  const LegRecord& leg = legs_[node] = leg_record(traces_[node], t);
+  // Off the trace (t < 0, t at or past the duration, NaN) the new record
+  // does not cover t either, and the trace's clamp decides.
+  return leg.covers(t) ? leg.at(t) : traces_[node].position(t);
 }
 
 void Medium::assert_single_thread() const noexcept {
@@ -35,7 +62,7 @@ void Medium::assert_single_thread() const noexcept {
   }
   assert(query_thread_ == std::this_thread::get_id() &&
          "sim::Medium is per-replication: queries mutate internal caches "
-         "(spatial index, trace cursors), so each thread needs its own "
+         "(spatial index, leg records), so each thread needs its own "
          "traces + Medium");
 #endif
 }
@@ -65,6 +92,8 @@ void Medium::ensure_grid(double range, double t) const {
 void Medium::receivers(NodeId sender, double range, double t,
                        std::vector<NodeId>& out) const {
   assert_single_thread();
+  // An infinite radius would reach the grid's cell arithmetic.
+  assert(std::isfinite(range));
   const obs::ScopedTimer timer(
       probe_ != nullptr ? probe_->profiler() : nullptr,
       obs::Category::kMediumQuery);
@@ -90,8 +119,8 @@ void Medium::receivers(NodeId sender, double range, double t,
     // the epoch, so any node within `range` of the sender at t lies within
     // range + 2 * v_max * |t - t0| of the sender's position in the epoch
     // snapshot. The exact re-check (the SoA filter below) reproduces the
-    // brute-force predicate bit-for-bit; SpatialGrid::query's
-    // ascending-index order keeps the output order identical too.
+    // brute-force predicate bit-for-bit, and sorting what it keeps restores
+    // the brute scan's ascending order (the grid emits cell order).
     const bool at_epoch = t == epoch_time_;
     const geom::Vec2 origin =
         at_epoch ? epoch_positions_[sender] : position(sender, t);
@@ -109,13 +138,14 @@ void Medium::receivers(NodeId sender, double range, double t,
     // The sender is always its own candidate (distance 0, and the grid
     // path only runs for range > 0), and the counter's contract is "every
     // non-sender candidate examined, accepted or not".
-    assert(std::binary_search(candidate_buffer_.begin(),
-                              candidate_buffer_.end(),
-                              static_cast<std::size_t>(sender)));
+    assert(std::find(candidate_buffer_.begin(), candidate_buffer_.end(),
+                     static_cast<std::size_t>(sender)) !=
+           candidate_buffer_.end());
     checks = m > 0 ? m - 1 : 0;
     geom::filter_within_range(filter_xs_.data(), filter_ys_.data(),
                               candidate_buffer_.data(), m, origin, range_sq,
                               sender, out);
+    std::sort(out.begin(), out.end());
   }
   if (probe_ != nullptr) {
     probe_->count(obs::Counter::kMediumCandidates, checks);
@@ -170,31 +200,29 @@ void Medium::links_within(double range, double t,
     const double slack = 2.0 * max_speed_ * std::abs(t - epoch_time_);
     const double query_radius = range + slack;
     // Single sweep: node u scans its grid neighborhood and emits u < v
-    // pairs. Ascending u plus the grid's ascending candidate order yields
-    // exactly the brute-force double loop's lexicographic emission order;
-    // the SoA filter preserves input order, so feeding it the v > u
-    // suffix of each candidate list keeps the emission order identical.
+    // pairs. The SoA filter sees the v > u candidates, and sorting what it
+    // keeps turns the grid's cell order into ascending v, so ascending u
+    // yields exactly the brute-force double loop's lexicographic order.
     for (NodeId u = 0; u < scratch_positions_.size(); ++u) {
       grid_.query(scratch_positions_[u], query_radius, candidate_buffer_);
-      const auto begin =
-          std::upper_bound(candidate_buffer_.begin(), candidate_buffer_.end(),
-                           static_cast<std::size_t>(u));
-      const auto offset =
-          static_cast<std::size_t>(begin - candidate_buffer_.begin());
-      const std::size_t m = candidate_buffer_.size() - offset;
-      filter_xs_.resize(m);
-      filter_ys_.resize(m);
-      for (std::size_t i = 0; i < m; ++i) {
-        const geom::Vec2 p = scratch_positions_[candidate_buffer_[offset + i]];
-        filter_xs_[i] = p.x;
-        filter_ys_[i] = p.y;
+      // Compacts the v > u candidates to the front, in place.
+      std::size_t m = 0;
+      filter_xs_.resize(candidate_buffer_.size());
+      filter_ys_.resize(candidate_buffer_.size());
+      for (const std::size_t v : candidate_buffer_) {
+        if (v <= u) continue;
+        candidate_buffer_[m] = v;
+        filter_xs_[m] = scratch_positions_[v].x;
+        filter_ys_[m] = scratch_positions_[v].y;
+        ++m;
       }
       checks += m;
       accepted_buffer_.clear();
       geom::filter_within_range(filter_xs_.data(), filter_ys_.data(),
-                                candidate_buffer_.data() + offset, m,
+                                candidate_buffer_.data(), m,
                                 scratch_positions_[u], range_sq,
                                 geom::kFilterNoSkip, accepted_buffer_);
+      std::sort(accepted_buffer_.begin(), accepted_buffer_.end());
       for (const std::size_t v : accepted_buffer_) out.emplace_back(u, v);
     }
   }

@@ -16,14 +16,23 @@
 // evaluations on dense networks (see docs/PERFORMANCE.md, bench_scale and
 // the differential suite in tests/sim/medium_grid_test.cpp).
 //
+// Positions come from one flat 48-byte record per node holding its current
+// leg (start, end, origin, velocity): inside [start, end) a position is
+// one multiply-add on that record, the expression Trace::position
+// evaluates, so the bits are the same; any other time (and every node's
+// first query: the records start empty) falls back to the trace's binary
+// search and refreshes the record. A Hello's ~40 position reads thus touch
+// one contiguous array instead of a cursor, a Trace and the trace's leg
+// block each.
+//
 // Threading: a Medium is strictly per-replication. Queries are logically
 // const but mutate internal caches (the spatial index, position scratch,
-// and the per-node trace-leg cursors), so a Medium — even a const one —
-// must never be shared across threads; debug builds assert the invariant
-// by pinning the medium to the first querying thread. The *traces* behind
+// and the per-node leg records), so a Medium — even a const one — must
+// never be shared across threads; debug builds assert the invariant by
+// pinning the medium to the first querying thread. The *traces* behind
 // it, in contrast, are immutable and safely shared: parallel sweeps hand
 // one mobility::TraceCache set to many per-replication Mediums, each
-// keeping its own cursor array.
+// keeping its own leg records.
 #pragma once
 
 #include <cstdint>
@@ -73,12 +82,15 @@ class Medium {
   /// conservative candidate radius is derived from it.
   [[nodiscard]] double max_speed() const noexcept { return max_speed_; }
 
-  /// Ground-truth position of a node at time t. Served through this
-  /// medium's leg-cursor array (amortized O(1) for the loosely increasing
-  /// times the event loop produces) — the cursors are a per-Medium cache,
-  /// never part of the shared Trace.
+  /// Ground-truth position of a node at time t, bit-identical to
+  /// traces[node].position(t). Served from the node's leg record while t
+  /// stays on that leg (the loosely increasing times the event loop
+  /// produces) — the records are a per-Medium cache, never part of the
+  /// shared Trace.
   [[nodiscard]] geom::Vec2 position(NodeId node, double t) const noexcept {
-    return traces_[node].position(t, trace_cursors_[node]);
+    const LegRecord& leg = legs_[node];
+    if (leg.covers(t)) return leg.at(t);
+    return advance_leg(node, t);
   }
 
   /// Ground-truth distance between two nodes at time t.
@@ -112,6 +124,34 @@ class Medium {
       double range, double t) const;
 
  private:
+  /// One node's current leg. `end` is the next leg's start time, or the
+  /// trace's duration for the last leg; an empty [start, end) never
+  /// matches.
+  struct LegRecord {
+    double start = 0.0;
+    double end = 0.0;
+    geom::Vec2 origin;
+    geom::Vec2 velocity;
+
+    /// On the leg, 0 <= start <= t < end <= duration, so Trace::position's
+    /// clamp leaves t alone and its search picks this leg: at(t) is then
+    /// the expression it evaluates, on the same doubles.
+    [[nodiscard]] bool covers(double t) const noexcept {
+      return start <= t && t < end;
+    }
+    [[nodiscard]] geom::Vec2 at(double t) const noexcept {
+      return origin + velocity * (t - start);
+    }
+  };
+  static_assert(sizeof(LegRecord) == 48);
+
+  /// The record of the leg `trace` evaluates at t.
+  static LegRecord leg_record(const mobility::Trace& trace, double t) noexcept;
+
+  /// The slow half of position(): evaluates the trace at t and points the
+  /// node's record at the leg t falls on.
+  geom::Vec2 advance_leg(NodeId node, double t) const noexcept;
+
   /// Rebuilds the spatial index at epoch t when absent, when the mobility
   /// slack outgrew `kRebuildSlackFraction * build_range_`, or when the
   /// requested range exceeds the range the cells were sized for (the
@@ -139,7 +179,7 @@ class Medium {
   mutable std::vector<double> filter_xs_;  ///< SoA candidate coordinates
   mutable std::vector<double> filter_ys_;  ///< for the SoA filter
   mutable std::vector<std::size_t> accepted_buffer_;  ///< links_within accepts
-  mutable std::vector<std::size_t> trace_cursors_;     ///< per-node leg hints
+  mutable std::vector<LegRecord> legs_;  ///< per node, its current leg
   mutable bool query_thread_set_ = false;
   mutable std::thread::id query_thread_;
 };

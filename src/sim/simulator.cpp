@@ -119,7 +119,7 @@ void Simulator::run_fanout(const EventKey& top) {
     FanoutSlot& entry = fanout_slots_[slot];
     current_sequence_ = sequence++;
     ++processed_;
-    entry.fn(entry.receivers[i]);
+    entry.fn(entry.receivers, i);
   }
   release_fanout_slot(slot);
 }

@@ -10,6 +10,11 @@
 // 24 trivially-copyable bytes instead of closures. reserve_events()
 // pre-sizes everything from scenario parameters so even warmup growth is
 // a handful of vector doublings at most.
+//
+// A broadcast is one queue entry: schedule_fanout() keeps the receiver list
+// once, and dispatch calls one shared closure per delivery with that list
+// and the delivery's index, so the receiving side can prefetch the state of
+// the receivers a few deliveries ahead (runner::Scenario's Hello path).
 #pragma once
 
 #include <cstdint>
@@ -49,14 +54,17 @@ class Simulator {
 
   /// Schedules a batched broadcast fan-out: one queue entry standing in
   /// for `receivers.size()` deliveries at time `at`, all sharing the
-  /// single callable `fn` (invoked as fn(node), ascending receiver
-  /// order). The call reserves `receivers.size()` consecutive sequence
-  /// numbers up front — exactly the numbers an equivalent per-receiver
-  /// schedule_at loop would have drawn — and dispatch replays them one
-  /// delivery at a time, so now()/current_sequence()/processed_events()
-  /// observed by each delivery (and the ordering of anything scheduled
-  /// afterwards) are byte-identical to the unbatched stream. Receiver ids
-  /// must be unique; an empty span schedules nothing.
+  /// single callable `fn`. Delivery i is the call fn(span, i) for
+  /// i = 0, 1, ..., where span is the kernel's copy of `receivers`
+  /// (ascending), so a delivery can see the receivers after it. The call
+  /// reserves `receivers.size()` consecutive sequence numbers up front —
+  /// exactly the numbers an equivalent per-receiver schedule_at loop would
+  /// have drawn — and dispatch replays them one delivery at a time, so
+  /// now()/current_sequence()/processed_events() observed by each delivery
+  /// (and the ordering of anything scheduled afterwards) are
+  /// byte-identical to the unbatched stream. Receiver ids must be unique;
+  /// an empty span schedules nothing. The span stays valid for the call
+  /// that receives it.
   void schedule_fanout(Time at, std::span<const std::uint32_t> receivers,
                        FanoutHandler fn);
 

@@ -33,8 +33,8 @@ struct StretchReport {
 /// within distance |uv| of u or of v (they are disturbed whenever the link
 /// is used). The interference of a topology is the maximum over its links
 /// (Burkhart et al.).
-[[nodiscard]] std::size_t link_interference(std::span<const geom::Vec2> positions,
-                                            graph::NodeId u, graph::NodeId v);
+[[nodiscard]] std::size_t link_interference(
+    std::span<const geom::Vec2> positions, graph::NodeId u, graph::NodeId v);
 
 struct InterferenceReport {
   std::size_t max_interference = 0;

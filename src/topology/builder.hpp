@@ -36,10 +36,9 @@ struct BuiltTopology {
 /// Builds every node's selection from exact (consistent) views: node u's
 /// view contains the nodes within `normal_range` of u. Positions index ==
 /// global node id.
-[[nodiscard]] BuiltTopology build_topology(std::span<const geom::Vec2> positions,
-                                           double normal_range,
-                                           const Protocol& protocol,
-                                           const CostModel& cost);
+[[nodiscard]] BuiltTopology build_topology(
+    std::span<const geom::Vec2> positions, double normal_range,
+    const Protocol& protocol, const CostModel& cost);
 
 /// The original topology: links no longer than `normal_range`, weighted by
 /// distance.

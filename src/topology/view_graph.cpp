@@ -211,8 +211,9 @@ ViewGraph make_consistent_view(std::span<const geom::Vec2> positions,
   }
   // Pairs over one node's *local view* (~density members), not the fleet —
   // quadratic in neighborhood size by design, like the protocols that
-  // consume the view. The trailing marker also covers the inner loop.
-  for (std::size_t a = 0; a < members.size(); ++a) {  // mstc-tidy: allow(all-pairs-scan)
+  // consume the view.
+  for (std::size_t a = 0; a < members.size(); ++a) {
+    // mstc-tidy: allow(all-pairs-scan)
     for (std::size_t b = a + 1; b < members.size(); ++b) {
       const double d =
           geom::distance(positions[members[a]], positions[members[b]]);

@@ -33,7 +33,9 @@ class ArgParser {
   /// A count or size: like get(name, long), but a negative value throws too.
   [[nodiscard]] std::size_t get_count(const std::string& name,
                                       std::size_t fallback) const;
-  [[nodiscard]] bool get_flag(const std::string& name) const { return has(name); }
+  [[nodiscard]] bool get_flag(const std::string& name) const {
+    return has(name);
+  }
 
   /// Positional (non --option) arguments in order.
   [[nodiscard]] const std::vector<std::string>& positional() const {

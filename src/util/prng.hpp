@@ -27,8 +27,8 @@ namespace mstc::util {
 /// Derives an independent stream seed from a base seed and a stream index.
 /// derive_seed(s, i) != derive_seed(s, j) for i != j with overwhelming
 /// probability; used to give each replication / node its own generator.
-[[nodiscard]] constexpr std::uint64_t derive_seed(std::uint64_t base,
-                                                  std::uint64_t stream) noexcept {
+[[nodiscard]] constexpr std::uint64_t derive_seed(
+    std::uint64_t base, std::uint64_t stream) noexcept {
   std::uint64_t x = base ^ (0x9e3779b97f4a7c15ULL * (stream + 1));
   (void)splitmix64(x);
   return splitmix64(x);
@@ -40,7 +40,8 @@ class Xoshiro256 {
  public:
   using result_type = std::uint64_t;
 
-  explicit constexpr Xoshiro256(std::uint64_t seed = 0x853c49e6748fea9bULL) noexcept {
+  explicit constexpr Xoshiro256(
+      std::uint64_t seed = 0x853c49e6748fea9bULL) noexcept {
     // splitmix64-expand the seed as recommended by the xoshiro authors.
     std::uint64_t x = seed;
     for (auto& word : state_) word = splitmix64(x);
@@ -84,7 +85,8 @@ class Xoshiro256 {
   }
 
   /// Uniform integer in [lo, hi] inclusive.
-  constexpr std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) noexcept {
+  constexpr std::int64_t uniform_int(std::int64_t lo,
+                                     std::int64_t hi) noexcept {
     return lo + static_cast<std::int64_t>(
                     uniform_below(static_cast<std::uint64_t>(hi - lo) + 1));
   }

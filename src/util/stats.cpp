@@ -59,7 +59,8 @@ Summary summarize(std::span<const double> sample) noexcept {
 
 double median(std::vector<double> sample) noexcept {
   if (sample.empty()) return 0.0;
-  const auto mid = sample.begin() + static_cast<std::ptrdiff_t>(sample.size() / 2);
+  const auto mid =
+      sample.begin() + static_cast<std::ptrdiff_t>(sample.size() / 2);
   std::nth_element(sample.begin(), mid, sample.end());
   if (sample.size() % 2 == 1) return *mid;
   const double hi = *mid;

@@ -46,7 +46,8 @@ void Table::print(std::ostream& out) const {
   }
   const auto print_line = [&](const std::vector<std::string>& cells) {
     for (std::size_t c = 0; c < cells.size(); ++c) {
-      out << std::left << std::setw(static_cast<int>(widths[c]) + 2) << cells[c];
+      out << std::left << std::setw(static_cast<int>(widths[c]) + 2)
+          << cells[c];
     }
     out << '\n';
   };

@@ -7,7 +7,10 @@
 #include <cstddef>
 #include <limits>
 #include <map>
+#include <optional>
 #include <random>
+#include <span>
+#include <vector>
 
 namespace mstc::core {
 namespace {
@@ -277,9 +280,20 @@ bool same_record(const topology::VersionedPosition& a,
              std::bit_cast<std::uint64_t>(b.send_time);
 }
 
+/// Expects `store` to hold exactly what `reference` holds, and each id in
+/// `absent` that the reference lacks to read as unknown.
 void expect_same_store(const LocalViewStore& store,
-                       const EntryVectorStore& reference) {
+                       const EntryVectorStore& reference,
+                       std::span<const NodeId> absent = {}) {
   const auto& entries = reference.entries();
+  for (const NodeId id : absent) {
+    if (std::ranges::any_of(entries,
+                            [&](const auto& e) { return e.sender == id; })) {
+      continue;
+    }
+    ASSERT_TRUE(store.records(id).empty()) << "sender " << id;
+    ASSERT_FALSE(store.latest(id).has_value()) << "sender " << id;
+  }
   ASSERT_EQ(store.slots().size(), entries.size());
   std::vector<NodeId> neighbors;
   for (std::size_t i = 0; i < entries.size(); ++i) {
@@ -303,16 +317,25 @@ void expect_same_store(const LocalViewStore& store,
 }
 
 /// Seeded random Hello traffic at one history limit: in-order,
-/// out-of-order, duplicate and older-than-window records from a dozen
-/// senders (the owner among them), joins and expiries as senders fall
-/// silent, tracked-version switches, and positions drawn from a set that
-/// holds both 0.0 and -0.0, so only the bits tell records apart.
-void run_differential(std::size_t history_limit, std::uint64_t seed) {
-  constexpr NodeId kOwner = 5;
-  constexpr std::size_t kSenders = 12;
+/// out-of-order, duplicate and older-than-window records from the senders
+/// `ids` (the owner, ids[owner_index], among them), joins and expiries as
+/// senders fall silent, tracked-version switches, and positions drawn from
+/// a set that holds both 0.0 and -0.0, so only the bits tell records apart.
+/// The store starts empty and is compared before the first record too.
+void run_differential(std::size_t history_limit, std::uint64_t seed,
+                      std::span<const NodeId> ids, std::size_t owner_index) {
+  const NodeId owner = ids[owner_index];
+  const std::size_t senders = ids.size();
   constexpr double kExpiry = 3.0;
-  LocalViewStore store(kOwner, history_limit, kExpiry);
-  EntryVectorStore reference(kOwner, history_limit, kExpiry);
+  LocalViewStore store(owner, history_limit, kExpiry);
+  EntryVectorStore reference(owner, history_limit, kExpiry);
+  // Every sender, and an id past 32 bits that no store can hold.
+  std::vector<NodeId> probes(ids.begin(), ids.end());
+  probes.push_back(NodeId{1} << 32);
+  expect_same_store(store, reference, probes);
+  store.expire(1.0);
+  reference.expire(1.0);
+  expect_same_store(store, reference, probes);
   std::mt19937_64 rng(seed);
   const auto uniform = [&](std::uint64_t n) { return rng() % n; };
   const double coords[] = {0.0, -0.0, 1.0, 250.0};
@@ -323,9 +346,11 @@ void run_differential(std::size_t history_limit, std::uint64_t seed) {
                                       << seed << " step " << step);
     const std::uint64_t op = uniform(100);
     if (op < 70) {
-      // Quiet senders (high ids) speak rarely, so they join and expire.
-      NodeId sender = uniform(kSenders);
-      if (sender >= kSenders / 2 && uniform(4) != 0) sender = kOwner;
+      // Quiet senders (the upper half of ids) speak rarely, so they join
+      // and expire.
+      std::size_t index = uniform(senders);
+      if (index >= senders / 2 && uniform(4) != 0) index = owner_index;
+      const NodeId sender = ids[index];
       std::uint64_t& top = newest[sender];
       std::uint64_t version = top + 1;
       const std::uint64_t kind = uniform(10);
@@ -351,20 +376,39 @@ void run_differential(std::size_t history_limit, std::uint64_t seed) {
       reference.expire(now);
     } else {
       std::optional<std::uint64_t> version;
-      if (uniform(3) != 0) version = uniform(newest[kOwner] + 2);
+      if (uniform(3) != 0) version = uniform(newest[owner] + 2);
       store.track_version(version);
       reference.track_version(version);
     }
-    expect_same_store(store, reference);
+    expect_same_store(store, reference, probes);
     if (::testing::Test::HasFailure()) return;
   }
 }
 
 TEST(LocalViewStore, MatchesEntryVectorReferenceAtEveryStride) {
-  for (const std::size_t history_limit : {1u, 2u, 3u}) {
-    for (const std::uint64_t seed : {1u, 2u, 20040426u}) {
-      run_differential(history_limit, seed);
-      if (HasFailure()) return;
+  constexpr NodeId kMaxId = std::numeric_limits<std::uint32_t>::max();
+  // A dozen small ids; the 32-bit extremes, the owner among them; a store
+  // that only ever holds its owner's slot; and one other sender that joins
+  // and expires next to an owner with id 0.
+  const std::vector<NodeId> dozen{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11};
+  const std::vector<NodeId> extremes{0, 1, 7, NodeId{1} << 31, kMaxId - 1,
+                                     kMaxId};
+  const std::vector<NodeId> owner_only{kMaxId};
+  const std::vector<NodeId> pair{0, kMaxId};
+  const struct {
+    const std::vector<NodeId>* ids;
+    std::size_t owner_index;
+  } fleets[] = {{&dozen, 5}, {&extremes, 5}, {&extremes, 0},
+                {&owner_only, 0}, {&pair, 0}};
+  for (const auto& fleet : fleets) {
+    for (const std::size_t history_limit : {1u, 2u, 3u}) {
+      for (const std::uint64_t seed : {1u, 2u, 20040426u}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "owner " << (*fleet.ids)[fleet.owner_index]
+                     << " of " << fleet.ids->size());
+        run_differential(history_limit, seed, *fleet.ids, fleet.owner_index);
+        if (HasFailure()) return;
+      }
     }
   }
 }

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "util/prng.hpp"
@@ -19,6 +22,15 @@ std::vector<std::size_t> brute_force(const std::vector<Vec2>& points,
     if (geom::distance(center, points[i]) <= radius) hits.push_back(i);
   }
   return hits;
+}
+
+/// A query's hits in ascending index order (query() emits cell order).
+std::vector<std::size_t> sorted_query(const SpatialGrid& grid, Vec2 center,
+                                      double radius) {
+  std::vector<std::size_t> out;
+  grid.query(center, radius, out);
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
 TEST(SpatialGrid, EmptyPointSet) {
@@ -81,12 +93,17 @@ TEST(SpatialGrid, QueryLargerThanCellSizeStillCorrect) {
   EXPECT_EQ(out, brute_force(points, {50.0, 50.0}, 80.0));
 }
 
-TEST(SpatialGrid, QueryEmitsAscendingIndexOrder) {
-  // Documented contract (see spatial_grid.hpp): results arrive in
-  // ascending index order with NO caller-side sort — sim::Medium's
-  // bit-identical receiver sets depend on it. Deliberately unsorted
-  // comparison against brute force (which scans indices in order).
+TEST(SpatialGrid, QueryEmitsHitsInCellOrder) {
+  // Documented order (see spatial_grid.hpp): rows ascending, cells left to
+  // right within a row, ascending index within a cell — each hit once.
+  // Callers that need ascending indices sort what they keep. The extent
+  // and cell size keep the table below its O(n) cap, so cells are exactly
+  // floor(coordinate / 80).
   util::Xoshiro256 rng(57);
+  const double cell = 80.0;
+  const auto cell_key = [&](Vec2 p) {
+    return std::pair{std::floor(p.y / cell), std::floor(p.x / cell)};
+  };
   for (int trial = 0; trial < 8; ++trial) {
     std::vector<Vec2> points;
     const std::size_t n = 100 + rng.uniform_below(300);
@@ -94,14 +111,62 @@ TEST(SpatialGrid, QueryEmitsAscendingIndexOrder) {
     for (std::size_t i = 0; i < n; ++i) {
       points.push_back({rng.uniform(0.0, 600.0), rng.uniform(0.0, 600.0)});
     }
-    const SpatialGrid grid(points, 80.0);
+    const SpatialGrid grid(points, cell);
     std::vector<std::size_t> out;
     for (int q = 0; q < 25; ++q) {
       const Vec2 center{rng.uniform(0.0, 600.0), rng.uniform(0.0, 600.0)};
       const double radius = rng.uniform(20.0, 250.0);
       grid.query(center, radius, out);
-      EXPECT_TRUE(std::is_sorted(out.begin(), out.end()));
+      for (std::size_t k = 1; k < out.size(); ++k) {
+        const auto before = std::tuple_cat(cell_key(points[out[k - 1]]),
+                                           std::tuple{out[k - 1]});
+        const auto after =
+            std::tuple_cat(cell_key(points[out[k]]), std::tuple{out[k]});
+        ASSERT_LT(before, after) << "hits " << k - 1 << " and " << k;
+      }
+      std::sort(out.begin(), out.end());
       EXPECT_EQ(out, brute_force(points, center, radius));
+    }
+  }
+}
+
+TEST(SpatialGrid, RowRunScanMatchesBruteForceAtAreaEdges) {
+  // Fleets that touch the area's edges and corners, queried from inside,
+  // on and beyond the edges with radii from zero to several cells: each
+  // row of the query block is scanned as one contiguous run, clipped to
+  // the table, so the first and last columns and rows are where a run
+  // could start or end one cell off.
+  util::Xoshiro256 rng(59);
+  for (int trial = 0; trial < 12; ++trial) {
+    const double extent = rng.uniform(100.0, 900.0);
+    std::vector<Vec2> points;
+    const std::size_t n = 30 + rng.uniform_below(250);
+    for (std::size_t i = 0; i < n; ++i) {
+      Vec2 p{rng.uniform(0.0, extent), rng.uniform(0.0, extent)};
+      switch (rng.uniform_below(6)) {
+        case 0: p.x = 0.0; break;
+        case 1: p.x = extent; break;
+        case 2: p.y = 0.0; break;
+        case 3: p.y = extent; break;
+        default: break;
+      }
+      points.push_back(p);
+    }
+    for (const Vec2 corner :
+         {Vec2{0.0, 0.0}, Vec2{extent, 0.0}, Vec2{0.0, extent},
+          Vec2{extent, extent}}) {
+      points.push_back(corner);
+    }
+    const double cell = rng.uniform(0.05, 0.5) * extent;
+    const SpatialGrid grid(points, cell);
+    for (int q = 0; q < 40; ++q) {
+      Vec2 center{rng.uniform(-0.2, 1.2) * extent,
+                  rng.uniform(-0.2, 1.2) * extent};
+      if (q % 4 == 0) center = points[rng.uniform_below(points.size())];
+      const double radius = q % 8 == 1 ? 0.0 : rng.uniform(0.0, 3.0) * cell;
+      EXPECT_EQ(sorted_query(grid, center, radius),
+                brute_force(points, center, radius))
+          << "trial " << trial << " query " << q;
     }
   }
 }
@@ -132,7 +197,8 @@ TEST(SpatialGrid, RebuildMatchesFreshConstruction) {
       reused.query(center, radius, out);
       fresh.query(center, radius, fresh_out);
       EXPECT_EQ(out, fresh_out);
-      EXPECT_EQ(out, brute_force(points, center, radius));
+      EXPECT_EQ(sorted_query(reused, center, radius),
+                brute_force(points, center, radius));
     }
   }
 
@@ -158,14 +224,13 @@ TEST(SpatialGrid, DegenerateCellSizeIsCappedAtFleetScale) {
   for (std::size_t i = 0; i < 300; ++i) {
     points.push_back({rng.uniform(0.0, 1e6), rng.uniform(0.0, 1e6)});
   }
-  std::vector<std::size_t> out;
   for (const double cell : {1e-9, 1.0, 0.0}) {
     const SpatialGrid grid(points, cell);
     for (int q = 0; q < 5; ++q) {
       const Vec2 center{rng.uniform(0.0, 1e6), rng.uniform(0.0, 1e6)};
       const double radius = rng.uniform(1e4, 5e5);
-      grid.query(center, radius, out);
-      EXPECT_EQ(out, brute_force(points, center, radius));
+      EXPECT_EQ(sorted_query(grid, center, radius),
+                brute_force(points, center, radius));
     }
   }
 }

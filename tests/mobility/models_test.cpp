@@ -85,7 +85,8 @@ TEST_P(MobilityModelTest, PositionIsContinuous) {
   const Trace trace = test_case->model().make_trace(rng, 60.0);
   constexpr double kDt = 0.1;
   for (double t = 0.0; t + kDt <= 60.0; t += kDt) {
-    const double hop = geom::distance(trace.position(t), trace.position(t + kDt));
+    const double hop =
+        geom::distance(trace.position(t), trace.position(t + kDt));
     EXPECT_LE(hop, trace.max_speed() * kDt + 1e-9)
         << test_case->name() << " t=" << t;
   }

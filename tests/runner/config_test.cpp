@@ -271,6 +271,27 @@ TEST(Validate, RejectsAHelloLossOutsideZeroToOne) {
   EXPECT_NO_THROW(validate(with([](auto& c) { c.hello_loss = 1.0; })));
 }
 
+TEST(Validate, RejectsABufferWidthThatIsNotFiniteAndNonNegative) {
+  // `mstc-sim --buffer inf` (or nan) used to run: the infinite radius
+  // reached the grid's cell arithmetic and printed a range of inf m. A
+  // negative width transmitted short of the farthest logical neighbour.
+  for (const double width : {kInf, kNaN, -1.0}) {
+    expect_rejected(with([&](auto& c) { c.buffer_width = width; }),
+                    "buffer_width");
+  }
+  EXPECT_NO_THROW(validate(with([](auto& c) { c.buffer_width = 0.0; })));
+  EXPECT_NO_THROW(validate(with([](auto& c) { c.buffer_width = 50.0; })));
+}
+
+TEST(Validate, RejectsAnAreaSideThatIsNotFiniteAndPositive) {
+  for (const double side : {kInf, kNaN, 0.0, -900.0}) {
+    expect_rejected(with([&](auto& c) { c.area.width = side; }), "area.width");
+    expect_rejected(with([&](auto& c) { c.area.height = side; }),
+                    "area.height");
+  }
+  EXPECT_NO_THROW(validate(with([](auto& c) { c.area = {40.0, 1800.0}; })));
+}
+
 TEST(Validate, NamesTheOffendingField) {
   try {
     validate(with([](auto& c) { c.hello_jitter = 1.5; }));

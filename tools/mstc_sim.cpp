@@ -24,7 +24,8 @@
 
 namespace {
 
-constexpr const char* kHelp = R"(mstc_sim — mobility-sensitive topology control simulator
+constexpr const char* kHelp =
+    R"(mstc_sim — mobility-sensitive topology control simulator
 
 options (defaults in brackets):
   --protocol NAME     MST | RNG | SPT-2 | SPT-4 | Gabriel | Yao | Yao2 |
@@ -135,6 +136,9 @@ int main(int argc, char** argv) {
       return 2;
     }
 
+    // Before the header line: its buffer label casts the width to int,
+    // which an infinite or NaN width would overflow.
+    runner::validate(cfg);
     const std::string buffer_label =
         cfg.adaptive_buffer
             ? "adaptive"
