@@ -13,12 +13,11 @@
 //   ./build/bench/bench_scale                 # full sweep -> BENCH_medium.json
 //   ./build/bench/bench_scale --out <path>    # alternate output path
 //   ./build/bench/bench_scale --smoke         # CI guard: tiny n, asserts
-//                                             #   grid <= brute checks,
-//                                             #   rebuilds > 0, identical
-//                                             #   receiver sets, and that
-//                                             #   the default config routes
-//                                             #   tiny fleets to brute
-//                                             #   (grid_min_nodes); no JSON
+//                                             #   the default config builds
+//                                             #   the index (rebuilds > 0),
+//                                             #   returns the brute sets and
+//                                             #   checks no more candidates
+//                                             #   than brute; no JSON
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -112,14 +111,10 @@ struct ScalePoint {
   std::size_t nodes = 0;
   double side = 0.0;
   ModeResult brute;
-  ModeResult grid;
-  // Default config: Medium picks brute vs. grid via grid_min_nodes. The
-  // crossover guard checks this auto choice tracks the faster path.
-  ModeResult auto_mode;
+  ModeResult grid;  ///< the default config
 
   [[nodiscard]] bool identical() const {
-    return brute.checksum == grid.checksum &&
-           brute.checksum == auto_mode.checksum;
+    return brute.checksum == grid.checksum;
   }
 };
 
@@ -135,8 +130,7 @@ ScalePoint run_point(std::size_t nodes) {
   const auto traces = mstc::mobility::generate_traces(
       *model, nodes, kDuration, mstc::util::derive_seed(kSeed, nodes));
   point.brute = run_mode(traces, {.brute_force = true});
-  point.grid = run_mode(traces, {.grid_min_nodes = 0});  // index forced on
-  point.auto_mode = run_mode(traces, {});
+  point.grid = run_mode(traces, {});
   return point;
 }
 
@@ -152,11 +146,10 @@ void print_point(const ScalePoint& p) {
   std::printf(
       "n=%5zu  brute %8.1f ms (%12" PRIu64
       " checks)  grid %8.1f ms (%10" PRIu64 " checks, %3" PRIu64
-      " rebuilds)  speedup %5.1fx  checks/ %5.1fx  auto=%s  %s\n",
+      " rebuilds)  speedup %5.1fx  checks/ %5.1fx  %s\n",
       p.nodes, p.brute.wall_seconds * 1e3, p.brute.distance_checks,
       p.grid.wall_seconds * 1e3, p.grid.distance_checks, p.grid.rebuilds,
-      speedup, check_ratio, p.auto_mode.rebuilds > 0 ? "grid" : "brute",
-      p.identical() ? "identical" : "DIVERGED");
+      speedup, check_ratio, p.identical() ? "identical" : "DIVERGED");
 }
 
 void append_mode_json(std::string& json, const char* name,
@@ -207,16 +200,11 @@ bool write_json(const std::string& path,
     json += ",\n";
     append_mode_json(json, "grid", p.grid);
     json += ",\n";
-    append_mode_json(json, "auto", p.auto_mode);
-    json += ",\n";
     std::snprintf(buffer, sizeof(buffer),
                   "      \"wall_speedup\": %.2f, "
                   "\"distance_check_reduction\": %.2f, "
-                  "\"auto_picked\": \"%s\", "
                   "\"results_identical\": %s}",
-                  speedup, check_ratio,
-                  p.auto_mode.rebuilds > 0 ? "grid" : "brute",
-                  p.identical() ? "true" : "false");
+                  speedup, check_ratio, p.identical() ? "true" : "false");
     json += buffer;
     json += i + 1 < points.size() ? ",\n" : "\n";
   }
@@ -239,15 +227,6 @@ int run_smoke() {
                    p.nodes);
       ++failures;
     }
-    // Crossover guard: tiny fleets sit below grid_min_nodes, so the
-    // default config must route them to the brute path.
-    if (p.auto_mode.rebuilds != 0) {
-      std::fprintf(stderr,
-                   "FAIL n=%zu: default config built the grid below the "
-                   "grid_min_nodes crossover\n",
-                   p.nodes);
-      ++failures;
-    }
     if (p.grid.distance_checks > p.brute.distance_checks) {
       std::fprintf(stderr,
                    "FAIL n=%zu: grid examined more candidates than brute "
@@ -255,10 +234,12 @@ int run_smoke() {
                    p.nodes, p.grid.distance_checks, p.brute.distance_checks);
       ++failures;
     }
+    // No fleet is too small for the index: the default config must
+    // build it even at tiny n.
     if (p.grid.rebuilds == 0) {
       std::fprintf(stderr,
-                   "FAIL n=%zu: rebuild counter is zero — the index "
-                   "silently regressed to brute force\n",
+                   "FAIL n=%zu: rebuild counter is zero — the default "
+                   "config silently fell back to brute force\n",
                    p.nodes);
       ++failures;
     }

@@ -128,11 +128,9 @@ struct RowResult {
   bool results_identical = false;
 };
 
-RowResult run_row(const RowSpec& spec, std::uint64_t seed_stream,
-                  std::size_t grid_min_nodes) {
-  ScenarioConfig cfg =
+RowResult run_row(const RowSpec& spec, std::uint64_t seed_stream) {
+  const ScenarioConfig cfg =
       make_snapshot_config(spec.nodes, spec.snapshot_rate, seed_stream);
-  cfg.medium_grid_min_nodes = grid_min_nodes;
   RowResult row;
   row.spec = spec;
   row.brute = run_snapshot_mode(cfg, /*brute=*/true);
@@ -337,10 +335,10 @@ int run_smoke() {
   std::printf("bench_snapshot --smoke: identity guards at tiny n\n");
   int failures = 0;
 
-  // Snapshot path: n below the crossover, so force the grid on via
-  // grid_min_nodes = 0 — the guard must compare genuinely different code.
+  // Snapshot path: the default config takes the grid at this small n, so
+  // the guard compares genuinely different code.
   const RowSpec spec{"smoke_n160_rate4", 160, 4.0};
-  const RowResult row = run_row(spec, 1, /*grid_min_nodes=*/0);
+  const RowResult row = run_row(spec, 1);
   print_row(row);
   if (!row.results_identical) {
     std::fprintf(stderr, "FAIL %s: grid diverged from brute force\n",
@@ -412,8 +410,7 @@ int main(int argc, char** argv) {
   std::vector<RowResult> rows;
   std::uint64_t stream = 1;
   for (const RowSpec& spec : kRows) {
-    rows.push_back(run_row(spec, stream++,
-                           /*grid_min_nodes=*/150));
+    rows.push_back(run_row(spec, stream++));
     print_row(rows.back());
   }
 

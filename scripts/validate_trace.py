@@ -247,7 +247,7 @@ def pool_threads(binary: Path, out: Path, threads: str | None) -> int:
         env["MSTC_THREADS"] = threads
     manifest = out / f"threads_{threads}.json"
     result = subprocess.run(
-        [str(binary), "--nodes", "10", "--duration", "2", "--repeats", "2",
+        [str(binary), "--nodes", "10", "--duration", "4", "--repeats", "2",
          "--metrics-out", str(manifest)],
         capture_output=True, text=True, check=False, env=env)
     if result.returncode != 0:

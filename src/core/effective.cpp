@@ -20,9 +20,8 @@ graph::Graph effective_snapshot(std::span<const NodeController> controllers,
   // reusable SnapshotScratch instead of building a Graph at all.
   graph::SpatialGrid grid;
   std::vector<std::size_t> candidates;
-  graph::SpatialGrid* grid_ptr = n >= graph::kGridMinNodes ? &grid : nullptr;
   for_each_snapshot_candidates(
-      controllers, positions, grid_ptr, candidates,
+      controllers, positions, &grid, candidates,
       [&](std::size_t u, const std::vector<std::size_t>& cand) {
         for (const std::size_t v : cand) {
           if (v <= u) continue;

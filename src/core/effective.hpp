@@ -7,13 +7,15 @@
 //  - with physical neighbors: any pair covered by both extended ranges
 //    communicates bidirectionally, logical or not.
 //
-// Link enumeration is routed through graph::SpatialGrid above a crossover
-// fleet size under a bit-identity contract: grid queries with a
+// Link enumeration is routed through graph::SpatialGrid, whatever the
+// fleet size, under a bit-identity contract: grid queries with a
 // conservatively padded radius produce a guaranteed superset of every node
 // the exact range predicates can accept, sorted into ascending index order,
-// and the caller re-applies the exact predicates — so both paths evaluate
-// identical predicates on identical values in identical order (identity
-// argument in docs/PERFORMANCE.md, differential suite in tests/metrics/).
+// and the caller re-applies the exact predicates — so the grid and the
+// brute-force scan (the null-grid reference arm of
+// for_each_snapshot_candidates) evaluate identical predicates on identical
+// values in identical order (identity argument in docs/PERFORMANCE.md,
+// differential suite in tests/metrics/).
 #pragma once
 
 #include <algorithm>

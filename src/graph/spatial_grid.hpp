@@ -3,6 +3,9 @@
 // The medium and topology builders repeatedly ask "which nodes are within
 // range r of p?". A cell size equal to the query radius bounds the search
 // to the 3x3 cell neighborhood, turning the O(n^2) scan into O(n + k).
+// sim::Medium and the snapshot measurement build one for every fleet,
+// however small; their brute-force scans remain only as the reference
+// arm that differential tests and benches compare against.
 //
 // Memory layout: the points are stored in cell order (a CSR table of
 // row-major cells), coordinates in two arrays parallel to their indices.
@@ -15,7 +18,9 @@
 // order. Callers that need ascending indices (sim::Medium's receiver sets
 // and link lists, the snapshot candidate sets) sort what they keep, which
 // is cheaper than sorting every hit (see docs/PERFORMANCE.md, "The Hello
-// path at n = 10 000").
+// path at n = 10 000"). The medium re-checks its candidates against the
+// exact range the way query() keeps hits: it writes each id and advances
+// its count by the predicate, without a branch.
 #pragma once
 
 #include <cstddef>
@@ -25,13 +30,6 @@
 #include "geom/vec2.hpp"
 
 namespace mstc::graph {
-
-/// Fleet size below which the medium and the snapshot measurement scan
-/// every node instead of building a SpatialGrid: under ~150 nodes the
-/// build costs more than the grid prunes (see docs/PERFORMANCE.md and the
-/// BENCH_medium.json n = 100 row). Results are bit-identical on both sides
-/// of the crossover.
-inline constexpr std::size_t kGridMinNodes = 150;
 
 class SpatialGrid {
  public:

@@ -5,62 +5,9 @@
 #include <cstdint>
 
 #include "core/effective.hpp"
-#include "geom/filter.hpp"
 #include "obs/counters.hpp"
 
 namespace mstc::metrics {
-namespace {
-
-// Mutual (both-ends) logical link count: the number of ordered pairs
-// (u, v) with v in L(u) and u in L(v) — exactly what the old per-neighbor
-// is_logical() scan counted. Builds the reverse adjacency R(v) = {u : v in
-// L(u)} as CSR rows (ascending, because rows fill in ascending-u order),
-// then two-pointer-merges L(u) against R(u) per node. Sortedness of
-// logical_neighbors() is a documented contract (controller.hpp), pinned by
-// SnapshotGridTest.MutualMergeRequiresSortedLogicalNeighbors.
-std::size_t mutual_logical_links(
-    std::span<const core::NodeController> controllers,
-    std::vector<std::size_t>& start, std::vector<std::size_t>& cursor,
-    std::vector<core::NodeId>& list) {
-  const std::size_t n = controllers.size();
-  start.assign(n + 1, 0);
-  for (std::size_t u = 0; u < n; ++u) {
-    for (const core::NodeId v : controllers[u].logical_neighbors()) {
-      assert(v < n);
-      ++start[v + 1];
-    }
-  }
-  for (std::size_t v = 0; v < n; ++v) start[v + 1] += start[v];
-  cursor.assign(start.begin(), start.begin() + static_cast<std::ptrdiff_t>(n));
-  list.resize(start[n]);
-  for (std::size_t u = 0; u < n; ++u) {
-    for (const core::NodeId v : controllers[u].logical_neighbors()) {
-      list[cursor[v]++] = u;
-    }
-  }
-  std::size_t mutual = 0;
-  for (std::size_t u = 0; u < n; ++u) {
-    const std::vector<core::NodeId>& forward =
-        controllers[u].logical_neighbors();
-    std::size_t f = 0;
-    std::size_t r = start[u];
-    const std::size_t r_end = start[u + 1];
-    while (f < forward.size() && r < r_end) {
-      if (forward[f] < list[r]) {
-        ++f;
-      } else if (list[r] < forward[f]) {
-        ++r;
-      } else {
-        ++mutual;
-        ++f;
-        ++r;
-      }
-    }
-  }
-  return mutual;
-}
-
-}  // namespace
 
 SnapshotStats measure_snapshot(
     std::span<const core::NodeController> controllers,
@@ -86,9 +33,7 @@ SnapshotStats measure_snapshot(
   // can accept (core/effective.hpp), so both integers — and the evaluation
   // order of every double — match the brute-force scan exactly.
   scratch.components_.reset(n);
-  graph::SpatialGrid* grid =
-      (!config.brute_force && n >= config.grid_min_nodes) ? &scratch.grid_
-                                                          : nullptr;
+  graph::SpatialGrid* grid = config.brute_force ? nullptr : &scratch.grid_;
   double range_total = 0.0;
   std::size_t physical_total = 0;
   std::uint64_t links_examined = 0;
@@ -98,23 +43,17 @@ SnapshotStats measure_snapshot(
         const double range = controllers[u].extended_range();
         range_total += range;
         const double range_sq = range * range;
-        // Physical degree through the SoA filter: it evaluates exactly the
-        // distance_sq predicate, and the count feeds an integer total, so
-        // the result matches the pair loop. u is always its own candidate
-        // (distance 0, and every candidate set is a superset of the exact
-        // acceptances), so the count includes u; subtract it to match the
-        // v != u loop.
-        const std::size_t m = candidates.size();
-        scratch.xs_.resize(m);
-        scratch.ys_.resize(m);
-        for (std::size_t i = 0; i < m; ++i) {
-          scratch.xs_[i] = positions[candidates[i]].x;
-          scratch.ys_[i] = positions[candidates[i]].y;
-        }
+        // The physical-degree count adds the exact distance_sq predicate
+        // without a branch, and feeds an integer total, so it matches the
+        // pair loop. u is always its own candidate (distance 0, and every
+        // candidate set is a superset of the exact acceptances), so the
+        // count includes u; subtract it to match the v != u loop.
         assert(std::binary_search(candidates.begin(), candidates.end(), u));
-        const std::size_t within =
-            geom::count_within_range(scratch.xs_.data(), scratch.ys_.data(), m,
-                                     positions[u], range_sq);
+        std::size_t within = 0;
+        for (const std::size_t v : candidates) {
+          within += static_cast<std::size_t>(
+              geom::distance_sq(positions[u], positions[v]) <= range_sq);
+        }
         physical_total += within - 1;
         for (const std::size_t v : candidates) {
           if (v <= u) continue;
@@ -144,9 +83,18 @@ SnapshotStats measure_snapshot(
                                 static_cast<double>(n * (n - 1));
   }
 
-  const std::size_t logical_total =
-      mutual_logical_links(controllers, scratch.reverse_start_,
-                           scratch.reverse_cursor_, scratch.reverse_list_);
+  // Mutual (both-ends) logical links: the ordered pairs (u, v) with v in
+  // L(u) and u in L(v), each reverse test an is_logical binary search over
+  // v's sorted logical list.
+  std::size_t logical_total = 0;
+  for (std::size_t u = 0; u < n; ++u) {
+    for (const core::NodeId v : controllers[u].logical_neighbors()) {
+      assert(v < n);
+      if (controllers[v].is_logical(static_cast<core::NodeId>(u))) {
+        ++logical_total;
+      }
+    }
+  }
 
   stats.mean_range = range_total / static_cast<double>(n);
   stats.mean_logical_degree =

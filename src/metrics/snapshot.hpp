@@ -5,14 +5,14 @@
 // logical node degree, and (for the physical-neighbor study, Fig. 8b)
 // the average number of physical neighbors.
 //
-// Measurement is the grid-backed fast path of the snapshot layer: link
-// enumeration and the physical-degree count run over SpatialGrid candidate
-// sets with exact predicate confirmation, connectivity comes from a
-// union-find over the enumerated links (no per-tick Graph build), and the
-// mutual-logical count is a two-pointer merge over the sorted
-// logical_neighbors() spans. Every shortcut is bit-identical to the
-// brute-force scan — the differential suite tests/metrics/
-// snapshot_grid_test.cpp byte-compares the two paths, and
+// Measurement is the grid-backed fast path of the snapshot layer, for
+// every fleet size: link enumeration and the physical-degree count run
+// over SpatialGrid candidate sets with exact predicate confirmation,
+// connectivity comes from a union-find over the enumerated links (no
+// per-tick Graph build), and the mutual-logical count looks each logical
+// link up in the other end's sorted logical_neighbors(). Every shortcut is
+// bit-identical to the brute-force scan — the differential suite
+// tests/metrics/snapshot_grid_test.cpp byte-compares the two paths, and
 // docs/PERFORMANCE.md works the identity argument.
 #pragma once
 
@@ -39,23 +39,20 @@ struct SnapshotStats {
   double mean_physical_degree = 0.0;
 };
 
-/// Tuning and test oracle for the grid-backed measurement path. Both
-/// paths produce byte-identical SnapshotStats; brute_force exists for A/B
-/// benchmarking and differential tests (ScenarioConfig::snapshot_brute_force
-/// at the scenario level).
+/// Test oracle for the grid-backed measurement path. Both paths produce
+/// byte-identical SnapshotStats; brute_force exists for A/B benchmarking
+/// and differential tests (ScenarioConfig::snapshot_brute_force at the
+/// scenario level).
 struct SnapshotConfig {
   bool brute_force = false;
-  /// Fleets below this size stay on the brute-force scan (see
-  /// graph::kGridMinNodes).
-  std::size_t grid_min_nodes = graph::kGridMinNodes;
 };
 
-/// Reusable measurement buffers: spatial grid, candidate list, union-find
-/// components, reverse-adjacency CSR rows for the mutual-logical merge.
-/// Owned by the caller (runner::Scenario keeps one per replication) so the
-/// per-tick measurement is allocation-free at steady state. Contents are
-/// meaningful only inside measure_snapshot; treat as opaque. One scratch
-/// serves one thread at a time — share per replication, never across.
+/// Reusable measurement buffers: spatial grid, candidate list and
+/// union-find components. Owned by the caller (runner::Scenario keeps one
+/// per replication) so the per-tick measurement is allocation-free at
+/// steady state. Contents are meaningful only inside measure_snapshot;
+/// treat as opaque. One scratch serves one thread at a time — share per
+/// replication, never across.
 class SnapshotScratch {
  public:
   SnapshotScratch() = default;
@@ -68,14 +65,7 @@ class SnapshotScratch {
 
   graph::SpatialGrid grid_;
   std::vector<std::size_t> candidates_;
-  std::vector<double> xs_;  ///< SoA candidate coordinates for the
-  std::vector<double> ys_;  ///< physical-degree SoA filter
   graph::UnionFind components_;
-  // Reverse logical adjacency in CSR form: row v holds {u : v in L(u)},
-  // ascending because rows fill in ascending-u order.
-  std::vector<std::size_t> reverse_start_;
-  std::vector<std::size_t> reverse_cursor_;
-  std::vector<core::NodeId> reverse_list_;
 };
 
 /// Convenience overload with temporary scratch and default config; same

@@ -10,7 +10,6 @@
 #include <string>
 
 #include "core/consistency.hpp"
-#include "graph/spatial_grid.hpp"
 #include "mobility/trace.hpp"
 
 namespace mstc::runner {
@@ -47,10 +46,6 @@ struct ScenarioConfig {
   /// of the spatial index. Results are bit-identical either way (the
   /// determinism suite asserts it); kept as a test oracle.
   bool medium_brute_force = false;
-  /// Fleets below this size serve medium queries with the brute scan even
-  /// when the index is enabled (see graph::kGridMinNodes). 0 forces the
-  /// index for any fleet.
-  std::size_t medium_grid_min_nodes = graph::kGridMinNodes;
   /// Skip Protocol::select when a node's view store is unchanged since
   /// its previous selection (the protocol is a pure function of the view,
   /// so the selection is provably unchanged; the determinism suite

@@ -80,8 +80,7 @@ class Scenario {
         traces_(acquire_traces(cfg, probe_)),
         medium_(*traces_,
                 {.propagation_delay = kPropagationDelay,
-                 .brute_force = cfg.medium_brute_force,
-                 .grid_min_nodes = cfg.medium_grid_min_nodes}),
+                 .brute_force = cfg.medium_brute_force}),
         suite_(topology::make_protocol(cfg.protocol)),
         beacon_rng_(util::derive_seed(cfg.seed, 0xBEAC0)),
         traffic_rng_(util::derive_seed(cfg.seed, 0x7AFF1C)),
@@ -470,14 +469,10 @@ class Scenario {
   void take_snapshot() {
     const obs::ScopedTimer timer(probe_.profiler(), obs::Category::kSnapshot);
     medium_.positions(simulator_.now(), position_buffer_);
-    // Grid-backed, scratch-reusing measurement; shares the medium's
-    // crossover threshold so medium_grid_min_nodes = 0 forces both grids
-    // on in the differential suites.
+    // Grid-backed, scratch-reusing measurement.
     const auto stats = metrics::measure_snapshot(
         nodes_, position_buffer_, snapshot_scratch_,
-        {.brute_force = cfg_.snapshot_brute_force,
-         .grid_min_nodes = cfg_.medium_grid_min_nodes},
-        &probe_);
+        {.brute_force = cfg_.snapshot_brute_force}, &probe_);
     strict_.add(stats.strict_connectivity);
     range_.add(stats.mean_range);
     logical_degree_.add(stats.mean_logical_degree);
@@ -607,6 +602,21 @@ void validate(const ScenarioConfig& config) {
                                config.average_speed);
   });
   parses("protocol", [&] { (void)topology::make_protocol(config.protocol); });
+  // A workload that is on but never runs reports 0 as its mean, which
+  // reads as a disconnected network. Both tests are the ones the flood and
+  // snapshot schedules make.
+  if (config.flood_rate > 0.0 &&
+      config.warmup > config.duration - config.flood_settle) {
+    reject("warmup", "no flood starts: warmup " +
+                         std::to_string(config.warmup) +
+                         " > duration - flood_settle " +
+                         std::to_string(config.duration - config.flood_settle));
+  }
+  if (config.snapshot_rate > 0.0 && config.warmup > config.duration) {
+    reject("warmup", "no snapshot is taken: warmup " +
+                         std::to_string(config.warmup) + " > duration " +
+                         std::to_string(config.duration));
+  }
 }
 
 metrics::RunStats run_scenario(const ScenarioConfig& config) {

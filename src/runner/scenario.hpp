@@ -20,9 +20,11 @@ namespace mstc::runner {
 /// duration or Hello interval that is not finite and positive; an average
 /// speed, flood or snapshot rate, warmup or flood settle time that is not
 /// finite and non-negative; a Hello jitter outside [0, 1) or a Hello loss
-/// outside [0, 1]; or an unknown mac, mobility_model or protocol name.
-/// run_scenario calls it first, so every CLI, bench and sweep is checked
-/// at the same boundary.
+/// outside [0, 1]; an unknown mac, mobility_model or protocol name; or a
+/// warmup that leaves a positive flood_rate no flood (warmup > duration -
+/// flood_settle) or a positive snapshot_rate no snapshot (warmup >
+/// duration). run_scenario calls it first, so every CLI, bench and sweep
+/// is checked at the same boundary.
 void validate(const ScenarioConfig& config);
 
 /// Runs one scenario to completion; deterministic in (config, config.seed).

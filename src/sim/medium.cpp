@@ -4,8 +4,6 @@
 #include <cassert>
 #include <cmath>
 
-#include "geom/filter.hpp"
-
 namespace mstc::sim {
 
 namespace {
@@ -103,8 +101,7 @@ void Medium::receivers(NodeId sender, double range, double t,
   // range <= 0 (a sender with an empty selection and no buffer) stays on
   // the brute scan: sizing grid cells for a degenerate radius would poison
   // the index for every later full-range query in the epoch.
-  if (config_.brute_force || traces_.empty() ||
-      traces_.size() < config_.grid_min_nodes || range <= 0.0) {
+  if (config_.brute_force || traces_.empty() || range <= 0.0) {
     const geom::Vec2 origin = position(sender, t);
     for (NodeId node = 0; node < traces_.size(); ++node) {
       if (node == sender) continue;
@@ -118,33 +115,36 @@ void Medium::receivers(NodeId sender, double range, double t,
     // Conservative filter: every node moved at most v_max * |t - t0| since
     // the epoch, so any node within `range` of the sender at t lies within
     // range + 2 * v_max * |t - t0| of the sender's position in the epoch
-    // snapshot. The exact re-check (the SoA filter below) reproduces the
-    // brute-force predicate bit-for-bit, and sorting what it keeps restores
-    // the brute scan's ascending order (the grid emits cell order).
+    // snapshot. The exact re-check below reproduces the brute-force
+    // predicate bit-for-bit, and sorting what it keeps restores the brute
+    // scan's ascending order (the grid emits cell order).
     const bool at_epoch = t == epoch_time_;
     const geom::Vec2 origin =
         at_epoch ? epoch_positions_[sender] : position(sender, t);
     const double slack = 2.0 * max_speed_ * std::abs(t - epoch_time_);
     grid_.query(origin, range + slack, candidate_buffer_);
-    const std::size_t m = candidate_buffer_.size();
-    filter_xs_.resize(m);
-    filter_ys_.resize(m);
-    for (std::size_t i = 0; i < m; ++i) {
-      const geom::Vec2 p = at_epoch ? epoch_positions_[candidate_buffer_[i]]
-                                    : position(candidate_buffer_[i], t);
-      filter_xs_[i] = p.x;
-      filter_ys_[i] = p.y;
-    }
     // The sender is always its own candidate (distance 0, and the grid
     // path only runs for range > 0), and the counter's contract is "every
     // non-sender candidate examined, accepted or not".
     assert(std::find(candidate_buffer_.begin(), candidate_buffer_.end(),
                      static_cast<std::size_t>(sender)) !=
            candidate_buffer_.end());
+    const std::size_t m = candidate_buffer_.size();
     checks = m > 0 ? m - 1 : 0;
-    geom::filter_within_range(filter_xs_.data(), filter_ys_.data(),
-                              candidate_buffer_.data(), m, origin, range_sq,
-                              sender, out);
+    // Keeps candidates the way SpatialGrid::query keeps hits: write each
+    // id, advance the count by the exact predicate. No branch on the
+    // distance test.
+    out.resize(m);
+    NodeId* const kept = out.data();
+    std::size_t count = 0;
+    for (const std::size_t node : candidate_buffer_) {
+      const geom::Vec2 p =
+          at_epoch ? epoch_positions_[node] : position(node, t);
+      const bool in_range = geom::distance_sq(origin, p) <= range_sq;
+      kept[count] = node;
+      count += ((node != sender) & in_range) ? 1 : 0;
+    }
+    out.resize(count);
     std::sort(out.begin(), out.end());
   }
   if (probe_ != nullptr) {
@@ -171,12 +171,10 @@ void Medium::links_within(double range, double t,
   out.clear();
   const double range_sq = range * range;
   std::uint64_t checks = 0;
-  if (config_.brute_force || traces_.empty() ||
-      traces_.size() < config_.grid_min_nodes) {
+  if (config_.brute_force || traces_.empty()) {
     positions(t, scratch_positions_);
-    // The deliberate brute-force baseline behind Config::brute_force and
-    // the small-fleet crossover; the differential suites compare the grid
-    // against exactly this loop.
+    // The deliberate brute-force baseline behind Config::brute_force; the
+    // differential suites compare the grid against exactly this loop.
     for (NodeId u = 0; u < scratch_positions_.size(); ++u) {
       // mstc-tidy: allow(all-pairs-scan)
       for (NodeId v = u + 1; v < scratch_positions_.size(); ++v) {
@@ -189,9 +187,9 @@ void Medium::links_within(double range, double t,
     }
   } else {
     ensure_grid(range, t);
-    // Amortize the piecewise-linear trace evaluation: one SoA pass per
-    // call (free when t is the epoch itself — snapshot times that trigger
-    // a rebuild reuse the epoch buffer) instead of one per candidate pair.
+    // Amortize the piecewise-linear trace evaluation: one pass per call
+    // (free when t is the epoch itself — snapshot times that trigger a
+    // rebuild reuse the epoch buffer) instead of one per candidate pair.
     if (t == epoch_time_) {
       scratch_positions_ = epoch_positions_;
     } else {
@@ -199,31 +197,27 @@ void Medium::links_within(double range, double t,
     }
     const double slack = 2.0 * max_speed_ * std::abs(t - epoch_time_);
     const double query_radius = range + slack;
-    // Single sweep: node u scans its grid neighborhood and emits u < v
-    // pairs. The SoA filter sees the v > u candidates, and sorting what it
-    // keeps turns the grid's cell order into ascending v, so ascending u
-    // yields exactly the brute-force double loop's lexicographic order.
+    // Single sweep: node u scans its grid neighborhood and keeps the v > u
+    // candidates within range, compacted in place without a branch on
+    // either test. Sorting what it keeps turns the grid's cell order into
+    // ascending v, so ascending u yields exactly the brute-force double
+    // loop's lexicographic order.
     for (NodeId u = 0; u < scratch_positions_.size(); ++u) {
-      grid_.query(scratch_positions_[u], query_radius, candidate_buffer_);
-      // Compacts the v > u candidates to the front, in place.
-      std::size_t m = 0;
-      filter_xs_.resize(candidate_buffer_.size());
-      filter_ys_.resize(candidate_buffer_.size());
-      for (const std::size_t v : candidate_buffer_) {
-        if (v <= u) continue;
-        candidate_buffer_[m] = v;
-        filter_xs_[m] = scratch_positions_[v].x;
-        filter_ys_[m] = scratch_positions_[v].y;
-        ++m;
+      const geom::Vec2 origin = scratch_positions_[u];
+      grid_.query(origin, query_radius, candidate_buffer_);
+      std::size_t* const kept = candidate_buffer_.data();
+      std::size_t count = 0;
+      for (std::size_t i = 0; i < candidate_buffer_.size(); ++i) {
+        const std::size_t v = kept[i];
+        const bool later = v > u;
+        const bool in_range =
+            geom::distance_sq(origin, scratch_positions_[v]) <= range_sq;
+        checks += later ? 1 : 0;
+        kept[count] = v;
+        count += (later & in_range) ? 1 : 0;
       }
-      checks += m;
-      accepted_buffer_.clear();
-      geom::filter_within_range(filter_xs_.data(), filter_ys_.data(),
-                                candidate_buffer_.data(), m,
-                                scratch_positions_[u], range_sq,
-                                geom::kFilterNoSkip, accepted_buffer_);
-      std::sort(accepted_buffer_.begin(), accepted_buffer_.end());
-      for (const std::size_t v : accepted_buffer_) out.emplace_back(u, v);
+      std::sort(kept, kept + count);
+      for (std::size_t i = 0; i < count; ++i) out.emplace_back(u, kept[i]);
     }
   }
   if (probe_ != nullptr) {

@@ -7,14 +7,17 @@
 // caller (it owns the RNG streams); the medium itself is deterministic.
 //
 // Neighbor queries are served by a lazily maintained spatial index (a
-// graph::SpatialGrid over node positions at an epoch time t0). A query at
-// time t filters candidates with the conservative radius
-// r + 2 * v_max * |t - t0| over the epoch positions and then applies the
-// exact distance check at the true query time, so the results are
-// bit-identical to the brute-force O(n) scan — same receiver sets, same
-// ascending-NodeId order — with ~an order of magnitude fewer distance
-// evaluations on dense networks (see docs/PERFORMANCE.md, bench_scale and
-// the differential suite in tests/sim/medium_grid_test.cpp).
+// graph::SpatialGrid over node positions at an epoch time t0), whatever
+// the fleet size. A query at time t filters candidates with the
+// conservative radius r + 2 * v_max * |t - t0| over the epoch positions
+// and then applies the exact distance check at the true query time, in
+// one pass that writes every candidate and counts only the accepted ones
+// (no branch on the distance test). The results are bit-identical to the
+// brute-force O(n) scan — same receiver sets, same ascending-NodeId order
+// — with ~an order of magnitude fewer distance evaluations on dense
+// networks (see docs/PERFORMANCE.md, bench_scale and the differential
+// suite in tests/sim/medium_grid_test.cpp). The brute scan serves only
+// Config::brute_force, the empty fleet and ranges <= 0.
 //
 // Positions come from one flat 48-byte record per node holding its current
 // leg (start, end, origin, velocity): inside [start, end) a position is
@@ -61,12 +64,6 @@ class Medium {
     /// force exists for differential testing and as a baseline for
     /// bench_scale.
     bool brute_force = false;
-
-    /// Fleets smaller than this use the brute scan automatically (see
-    /// graph::kGridMinNodes). 0 forces the index for any non-empty fleet
-    /// (differential tests pin the grid path this way). Results are
-    /// bit-identical on both sides of the threshold.
-    std::size_t grid_min_nodes = graph::kGridMinNodes;
   };
 
   /// The medium aliases `traces`; the owner must outlive it.
@@ -176,9 +173,6 @@ class Medium {
   mutable bool grid_valid_ = false;
   mutable std::vector<std::size_t> candidate_buffer_;
   mutable std::vector<geom::Vec2> scratch_positions_;  ///< links_within scratch
-  mutable std::vector<double> filter_xs_;  ///< SoA candidate coordinates
-  mutable std::vector<double> filter_ys_;  ///< for the SoA filter
-  mutable std::vector<std::size_t> accepted_buffer_;  ///< links_within accepts
   mutable std::vector<LegRecord> legs_;  ///< per node, its current leg
   mutable bool query_thread_set_ = false;
   mutable std::thread::id query_thread_;

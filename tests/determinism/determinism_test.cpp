@@ -220,10 +220,9 @@ TEST(Determinism, GridIndexedMediumMatchesBruteForceByteForByte) {
   // whole sweeps — metrics, event ordering, everything — byte-compare
   // across the two paths. Runs through the pool so the TSan job also
   // covers the index's mutable caches.
+  // The default config takes the index at every fleet size, so this test
+  // compares genuinely different code paths.
   auto configs = representative_configs();
-  // Representative fleets sit below the grid_min_nodes crossover; force the
-  // index on so this test compares genuinely different code paths.
-  for (auto& config : configs) config.medium_grid_min_nodes = 0;
   util::ThreadPool pool(3);
   const auto grid = bit_snapshot(run_batch_raw(configs, kRepeats, pool));
 
@@ -301,10 +300,9 @@ TEST(Determinism, SnapshotGridMatchesBruteForceByteForByte) {
   // grid candidate sets + exact predicate confirmation + union-find
   // connectivity must reproduce the brute-force measurement exactly, for
   // whole sweeps, not just isolated fleets (the differential suite covers
-  // those). grid_min_nodes = 0 forces the snapshot grid on representative
-  // fleets that sit below the crossover.
+  // those). The default config takes the snapshot grid on these 100-node
+  // fleets.
   auto configs = representative_configs();
-  for (auto& config : configs) config.medium_grid_min_nodes = 0;
   util::ThreadPool pool(3);
   const auto grid = bit_snapshot(run_batch_raw(configs, kRepeats, pool));
 

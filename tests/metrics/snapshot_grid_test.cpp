@@ -1,15 +1,15 @@
 // Differential suite for the grid-backed snapshot measurement (PR 5).
 //
 // measure_snapshot's fast path — SpatialGrid candidate sets, union-find
-// connectivity, two-pointer mutual-logical merge — claims *byte* identity
-// with the straightforward O(n^2) measurement, not approximate equality.
-// These tests hold it to that: a verbatim reference implementation of the
-// pre-optimization measurement (brute pair scan, materialized effective
-// Graph, per-neighbor is_logical probe) is byte-compared against both the
-// brute_force escape hatch and the grid path (grid_min_nodes = 0 forces
-// the index even for small fleets) over randomized fleets, exact ==range
-// boundaries, the physical-neighbor enhancement on and off, and the
-// empty / singleton edge cases.
+// connectivity, mutual-logical count by is_logical lookups — claims *byte*
+// identity with the straightforward O(n^2) measurement, not approximate
+// equality. These tests hold it to that: a verbatim reference
+// implementation of the pre-optimization measurement (brute pair scan,
+// materialized effective Graph, per-neighbor is_logical probe) is
+// byte-compared against both the brute_force escape hatch and the grid
+// path (the default config, for every fleet size) over randomized fleets,
+// exact ==range boundaries, the physical-neighbor enhancement on and off,
+// and the empty / singleton edge cases.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -133,7 +133,7 @@ Fleet make_fleet(std::size_t n, double side, std::uint64_t seed,
   return fleet;
 }
 
-/// Reference vs brute escape hatch vs forced grid, all byte-compared.
+/// Reference vs brute escape hatch vs default grid, all byte-compared.
 void expect_all_paths_identical(const Fleet& fleet) {
   const auto reference = bits(reference_snapshot(fleet.nodes, fleet.positions));
 
@@ -145,24 +145,22 @@ void expect_all_paths_identical(const Fleet& fleet) {
       << "brute-force fast path diverged from the reference measurement";
 
   SnapshotScratch grid_scratch;
-  const auto grid = bits(measure_snapshot(
-      fleet.nodes, fleet.positions, grid_scratch,
-      {.brute_force = false, .grid_min_nodes = 0}));
+  const auto grid =
+      bits(measure_snapshot(fleet.nodes, fleet.positions, grid_scratch));
   ASSERT_EQ(grid, reference)
       << "grid-backed path diverged from the reference measurement";
 
   // Scratch reuse must not leak state between snapshots: measuring again
   // through the same (already warm) scratch gives the same bytes.
-  const auto grid_again = bits(measure_snapshot(
-      fleet.nodes, fleet.positions, grid_scratch,
-      {.brute_force = false, .grid_min_nodes = 0}));
+  const auto grid_again =
+      bits(measure_snapshot(fleet.nodes, fleet.positions, grid_scratch));
   ASSERT_EQ(grid_again, reference) << "scratch reuse changed the result";
 }
 
 TEST(SnapshotGrid, RandomFleetsMatchReferenceByteForByte) {
   // Spread over protocols (symmetric and asymmetric selections), fleet
-  // sizes straddling the grid_min_nodes default, and densities from sparse
-  // (few grid candidates) to a single crowded cell.
+  // sizes from 40 to 200, and densities from sparse (few grid candidates)
+  // to a single crowded cell.
   expect_all_paths_identical(make_fleet(40, 900.0, 1, "RNG", false));
   expect_all_paths_identical(make_fleet(120, 600.0, 2, "MST", false));
   expect_all_paths_identical(make_fleet(200, 1200.0, 3, "KNeigh", false));
@@ -215,13 +213,12 @@ TEST(SnapshotGrid, ExactRangeBoundaryAgrees) {
 
 TEST(SnapshotGrid, EmptyAndSingletonFleets) {
   SnapshotScratch scratch;
-  const SnapshotStats empty =
-      measure_snapshot({}, {}, scratch, {.grid_min_nodes = 0});
+  const SnapshotStats empty = measure_snapshot({}, {}, scratch);
   EXPECT_EQ(bits(empty), bits(SnapshotStats{}));
 
   const Fleet one = make_fleet(1, 100.0, 8, "RNG", false);
-  const SnapshotStats single = measure_snapshot(
-      one.nodes, one.positions, scratch, {.grid_min_nodes = 0});
+  const SnapshotStats single =
+      measure_snapshot(one.nodes, one.positions, scratch);
   EXPECT_DOUBLE_EQ(single.strict_connectivity, 1.0);  // n < 2 convention
   EXPECT_DOUBLE_EQ(single.mean_range, 0.0);  // no logical neighbors
   EXPECT_DOUBLE_EQ(single.mean_logical_degree, 0.0);
@@ -232,7 +229,7 @@ TEST(SnapshotGrid, EmptyAndSingletonFleets) {
 TEST(SnapshotGrid, MutualMergeMatchesIsLogicalOnAsymmetricSelections) {
   // KNeigh keeps the k nearest regardless of reciprocity, so plenty of
   // one-directional logical edges exist: exactly the case where the
-  // two-pointer merge could miscount if it confused directed with mutual.
+  // mutual count could go wrong if it confused directed with mutual.
   const Fleet fleet = make_fleet(130, 800.0, 9, "KNeigh", false);
   std::size_t asymmetric = 0;
   std::size_t mutual_reference = 0;
@@ -246,10 +243,10 @@ TEST(SnapshotGrid, MutualMergeMatchesIsLogicalOnAsymmetricSelections) {
     }
   }
   ASSERT_GT(asymmetric, 0u) << "fleet has no asymmetric selections; "
-                               "the test is not exercising the merge";
+                               "the test is not exercising the count";
   SnapshotScratch scratch;
-  const SnapshotStats stats = measure_snapshot(
-      fleet.nodes, fleet.positions, scratch, {.grid_min_nodes = 0});
+  const SnapshotStats stats =
+      measure_snapshot(fleet.nodes, fleet.positions, scratch);
   EXPECT_EQ(std::bit_cast<std::uint64_t>(stats.mean_logical_degree),
             std::bit_cast<std::uint64_t>(
                 static_cast<double>(mutual_reference) /
@@ -257,10 +254,11 @@ TEST(SnapshotGrid, MutualMergeMatchesIsLogicalOnAsymmetricSelections) {
 }
 
 TEST(SnapshotGrid, MutualMergeRequiresSortedLogicalNeighbors) {
-  // The two-pointer merge in measure_snapshot is correct only because
+  // The mutual-logical count in measure_snapshot is correct only because
   // logical_neighbors() is sorted ascending — a documented contract
-  // (core/controller.hpp), re-pinned here because the merge would silently
-  // undercount if a future protocol emitted unsorted selections.
+  // (core/controller.hpp), re-pinned here because is_logical's binary
+  // search would silently miss links if a future protocol emitted
+  // unsorted selections.
   for (const char* protocol :
        {"RNG", "MST", "KNeigh", "SPT-2", "Yao", "None"}) {
     const Fleet fleet = make_fleet(80, 600.0, 10, protocol, false);
@@ -297,14 +295,41 @@ TEST(SnapshotGrid, LinksExaminedCounterReflectsPruning) {
   obs::RunObservation grid_obs;
   obs::Probe grid_probe(&grid_obs);
   const auto grid = bits(measure_snapshot(fleet.nodes, fleet.positions,
-                                          scratch, {.grid_min_nodes = 0},
-                                          &grid_probe));
+                                          scratch, {}, &grid_probe));
   const std::uint64_t examined =
       grid_obs.counters.total(obs::Counter::kSnapshotLinksExamined);
   EXPECT_GT(examined, 0u);
   EXPECT_LT(examined, all_pairs)
       << "grid pruned nothing on a fleet 12x sparser than its ranges";
   EXPECT_EQ(grid, brute);
+}
+
+TEST(SnapshotGrid, DefaultConfigPaperFleetMatchesReference) {
+  // The paper's fleet (100 nodes, 900 m side, 250 m range): the default
+  // config takes the grid, matches the reference bit for bit, and checks
+  // fewer links than the brute arm's n * (n - 1) / 2.
+  const Fleet fleet = make_fleet(100, 900.0, 12, "RNG", false);
+  const auto reference = bits(reference_snapshot(fleet.nodes, fleet.positions));
+
+  obs::RunObservation brute_obs;
+  obs::Probe brute_probe(&brute_obs);
+  SnapshotScratch scratch;
+  EXPECT_EQ(bits(measure_snapshot(fleet.nodes, fleet.positions, scratch,
+                                  {.brute_force = true}, &brute_probe)),
+            reference);
+
+  obs::RunObservation grid_obs;
+  obs::Probe grid_probe(&grid_obs);
+  EXPECT_EQ(bits(measure_snapshot(fleet.nodes, fleet.positions, scratch, {},
+                                  &grid_probe)),
+            reference);
+  const std::uint64_t brute_links =
+      brute_obs.counters.total(obs::Counter::kSnapshotLinksExamined);
+  const std::uint64_t grid_links =
+      grid_obs.counters.total(obs::Counter::kSnapshotLinksExamined);
+  EXPECT_EQ(brute_links, 100u * 99u / 2u);
+  EXPECT_GT(grid_links, 0u);
+  EXPECT_LT(grid_links, brute_links);
 }
 
 }  // namespace

@@ -47,7 +47,7 @@ TraceSet generate() {
 /// reports over a time sweep — the cursor fast path is exercised by the
 /// increasing query times.
 std::uint64_t medium_checksum(const TraceSet& traces) {
-  const sim::Medium medium(traces, {.grid_min_nodes = 0});
+  const sim::Medium medium(traces, {});
   std::uint64_t hash = 1469598103934665603ull;
   const auto fold = [&hash](std::uint64_t value) {
     hash ^= value;

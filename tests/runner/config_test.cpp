@@ -292,6 +292,48 @@ TEST(Validate, RejectsAnAreaSideThatIsNotFiniteAndPositive) {
   EXPECT_NO_THROW(validate(with([](auto& c) { c.area = {40.0, 1800.0}; })));
 }
 
+TEST(Validate, RejectsAFloodScheduleThatStartsNoFlood) {
+  // `mstc-sim --duration 2` (warmup 3 s) ran and printed a flood
+  // connectivity of 0.000 ± 0.000, which reads as a disconnected network.
+  expect_rejected(with([](auto& c) { c.duration = 2.0; }), "warmup");
+  expect_rejected(with([](auto& c) {
+                    c.duration = 10.0;
+                    c.warmup = 9.6;  // the last start would be 9.5
+                  }),
+                  "warmup");
+  // The boundary is the schedule's own test: a flood starting exactly at
+  // duration - flood_settle still runs.
+  EXPECT_NO_THROW(validate(with([](auto& c) {
+    c.duration = 10.0;
+    c.warmup = 9.5;
+  })));
+  // Floods off: no flood is owed.
+  EXPECT_NO_THROW(validate(with([](auto& c) {
+    c.duration = 3.2;
+    c.flood_rate = 0.0;
+  })));
+}
+
+TEST(Validate, RejectsASnapshotScheduleThatTakesNoSnapshot) {
+  // With floods off, a run ending before its warmup took no snapshot and
+  // reported a strict connectivity of 0.
+  expect_rejected(with([](auto& c) {
+                    c.duration = 2.0;
+                    c.flood_rate = 0.0;
+                  }),
+                  "warmup");
+  // A snapshot exactly at the end of the run is taken.
+  EXPECT_NO_THROW(validate(with([](auto& c) {
+    c.duration = 3.0;
+    c.flood_rate = 0.0;
+  })));
+  // Snapshots off: none is owed.
+  EXPECT_NO_THROW(validate(with([](auto& c) {
+    c.duration = 2.0;
+    c.flood_rate = c.snapshot_rate = 0.0;
+  })));
+}
+
 TEST(Validate, NamesTheOffendingField) {
   try {
     validate(with([](auto& c) { c.hello_jitter = 1.5; }));

@@ -35,9 +35,9 @@ std::uint64_t sweep_checksum() {
   // checksums — without sharing a single byte between threads.
   const auto traces =
       mobility::generate_traces(*model, kNodes, kDuration, kSeed);
-  // Force the index (kNodes sits below grid_min_nodes) so TSan exercises
-  // the grid's mutable caches, which is the point of this suite.
-  const Medium medium(traces, {.grid_min_nodes = 0});
+  // The default config serves every query from the index, so TSan
+  // exercises the grid's mutable caches, which is the point of this suite.
+  const Medium medium(traces, {});
 
   std::uint64_t hash = 1469598103934665603ull;
   const auto fold = [&hash](std::uint64_t value) {

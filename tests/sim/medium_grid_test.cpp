@@ -79,7 +79,7 @@ TEST(MediumGrid, RandomizedDifferentialAgainstBruteForce) {
     const double extent = rng.uniform(100.0, 900.0);
     const double max_speed = trial % 4 == 0 ? 0.0 : rng.uniform(0.0, 40.0);
     const auto traces = random_fleet(rng, n, duration, extent, max_speed);
-    const Medium grid(traces, {.grid_min_nodes = 0});
+    const Medium grid(traces, {});
     const Medium brute(traces, {.brute_force = true});
     // Ascending times (the common case the cursor cache optimizes for),
     // then a few deliberately out-of-order and past-duration probes.
@@ -98,7 +98,7 @@ TEST(MediumGrid, DistanceExactlyEqualToRangeIsInclusiveInBothPaths) {
   for (int i = 0; i < 8; ++i) {
     traces.push_back(Trace({Leg{0.0, {10.0 * i, 0.0}, {0.0, 0.0}}}, 50.0));
   }
-  const Medium grid(traces, {.grid_min_nodes = 0});
+  const Medium grid(traces, {});
   const Medium brute(traces, {.brute_force = true});
   for (const double r : {10.0, 20.0, 30.0}) {
     expect_equal_queries(grid, brute, r, 0.0);
@@ -115,7 +115,7 @@ TEST(MediumGrid, NodesAtAreaCornersMatch) {
                        Vec2{side, side}, Vec2{side / 2, side / 2}}) {
     traces.push_back(Trace({Leg{0.0, p, {0.0, 0.0}}}, 10.0));
   }
-  const Medium grid(traces, {.grid_min_nodes = 0});
+  const Medium grid(traces, {});
   const Medium brute(traces, {.brute_force = true});
   // Exactly the diagonal, exactly the side, just below each.
   for (const double r : {side * std::sqrt(2.0), side,
@@ -129,7 +129,7 @@ TEST(MediumGrid, ZeroSpeedFleetNeverRebuilds) {
   const auto traces = random_fleet(rng, 60, 20.0, 500.0, 0.0);
   obs::RunObservation observation;
   const obs::Probe probe(&observation);
-  Medium medium(traces, {.grid_min_nodes = 0});
+  Medium medium(traces, {});
   medium.set_probe(&probe);
   std::vector<NodeId> out;
   // Static fleet: slack is always 0, so one build serves every time.
@@ -147,7 +147,7 @@ TEST(MediumGrid, MovingFleetRebuildsWhenSlackExceedsThreshold) {
   const auto traces = random_fleet(rng, 50, 60.0, 400.0, 20.0);
   obs::RunObservation observation;
   const obs::Probe probe(&observation);
-  Medium medium(traces, {.grid_min_nodes = 0});
+  Medium medium(traces, {});
   medium.set_probe(&probe);
   std::vector<NodeId> out;
   for (double t = 0.0; t <= 60.0; t += 1.0) {
@@ -169,7 +169,7 @@ TEST(MediumGrid, MovingFleetRebuildsWhenSlackExceedsThreshold) {
 TEST(MediumGrid, TimePastTraceDurationClampsIdentically) {
   util::Xoshiro256 rng(9);
   const auto traces = random_fleet(rng, 40, 10.0, 300.0, 15.0);
-  const Medium grid(traces, {.grid_min_nodes = 0});
+  const Medium grid(traces, {});
   const Medium brute(traces, {.brute_force = true});
   // Positions clamp at duration; queries far past it must still agree
   // (and must not grow the conservative radius without bound).
@@ -195,44 +195,21 @@ TEST(MediumGrid, BruteForceConfigBypassesTheIndex) {
             out.size());
 }
 
-TEST(MediumGrid, GridMinNodesRoutesSmallFleetsToBruteForce) {
-  // Below the auto threshold the default config must take the brute path
-  // (no grid rebuilds); forcing grid_min_nodes = 0 must engage the index;
-  // and a fleet at/above the threshold must engage it by default. Both
-  // paths stay bit-identical either way (covered by the differential
-  // tests above), so the threshold is a pure performance knob.
+TEST(MediumGrid, DefaultConfigIndexesSmallFleets) {
+  // No fleet is too small for the index: a default 30-node medium builds
+  // it on the first query and still answers exactly as the brute scan.
   util::Xoshiro256 rng(12);
   const auto small = random_fleet(rng, 30, 10.0, 300.0, 10.0);
-  {
-    obs::RunObservation observation;
-    const obs::Probe probe(&observation);
-    Medium medium(small, {});
-    medium.set_probe(&probe);
-    std::vector<NodeId> out;
-    medium.receivers(0, 100.0, 0.0, out);
-    EXPECT_EQ(observation.counters.total(obs::Counter::kMediumGridRebuilds),
-              0u);
-  }
-  {
-    obs::RunObservation observation;
-    const obs::Probe probe(&observation);
-    Medium medium(small, {.grid_min_nodes = 0});
-    medium.set_probe(&probe);
-    std::vector<NodeId> out;
-    medium.receivers(0, 100.0, 0.0, out);
-    EXPECT_EQ(observation.counters.total(obs::Counter::kMediumGridRebuilds),
-              1u);
-  }
-  {
-    const auto large = random_fleet(rng, 160, 10.0, 600.0, 10.0);
-    obs::RunObservation observation;
-    const obs::Probe probe(&observation);
-    Medium medium(large, {});
-    medium.set_probe(&probe);
-    std::vector<NodeId> out;
-    medium.receivers(0, 100.0, 0.0, out);
-    EXPECT_EQ(observation.counters.total(obs::Counter::kMediumGridRebuilds),
-              1u);
+  obs::RunObservation observation;
+  const obs::Probe probe(&observation);
+  Medium medium(small, {});
+  medium.set_probe(&probe);
+  std::vector<NodeId> out;
+  medium.receivers(0, 100.0, 0.0, out);
+  EXPECT_EQ(observation.counters.total(obs::Counter::kMediumGridRebuilds), 1u);
+  const Medium brute(small, {.brute_force = true});
+  for (const double t : {0.0, 4.0, 9.5}) {
+    expect_equal_queries(medium, brute, 100.0, t);
   }
 }
 
@@ -243,7 +220,7 @@ TEST(MediumGrid, GridExaminesFarFewerCandidatesOnDenseFleets) {
   obs::RunObservation brute_obs;
   const obs::Probe grid_probe(&grid_obs);
   const obs::Probe brute_probe(&brute_obs);
-  Medium grid(traces, {.grid_min_nodes = 0});
+  Medium grid(traces, {});
   Medium brute(traces, {.brute_force = true});
   grid.set_probe(&grid_probe);
   brute.set_probe(&brute_probe);
@@ -276,7 +253,7 @@ TEST(MediumGrid, ZeroRangeSenderNeverTouchesTheIndex) {
   const auto traces = random_fleet(rng, 200, 10.0, 800.0, 5.0);
   obs::RunObservation observation;
   const obs::Probe probe(&observation);
-  Medium medium(traces, {.grid_min_nodes = 0});
+  Medium medium(traces, {});
   medium.set_probe(&probe);
   std::vector<NodeId> out;
   medium.receivers(0, 0.0, 0.0, out);
@@ -301,7 +278,7 @@ TEST(MediumGrid, LargerRadiusRatchetsTheIndexInsteadOfScanningTinyCells) {
   const auto traces = random_fleet(rng, 200, 10.0, 800.0, 0.0);
   obs::RunObservation observation;
   const obs::Probe probe(&observation);
-  Medium medium(traces, {.grid_min_nodes = 0});
+  Medium medium(traces, {});
   medium.set_probe(&probe);
   std::vector<NodeId> out;
   medium.receivers(0, 30.0, 0.0, out);
@@ -319,7 +296,7 @@ TEST(MediumGrid, LargerRadiusRatchetsTheIndexInsteadOfScanningTinyCells) {
 TEST(MediumGrid, SingleNodeAndEmptyRangeEdgeCases) {
   std::vector<Trace> traces;
   traces.push_back(Trace({Leg{0.0, {5.0, 5.0}, {1.0, 0.0}}}, 10.0));
-  const Medium grid(traces, {.grid_min_nodes = 0});
+  const Medium grid(traces, {});
   const Medium brute(traces, {.brute_force = true});
   std::vector<NodeId> out{99};
   grid.receivers(0, 100.0, 3.0, out);

@@ -6,7 +6,7 @@ BENCH_medium.json / BENCH_snapshot.json) against the checked-in baselines,
 separating what must match exactly from what only a machine can change:
 
   deterministic columns   event / query / link counts, cache hit counts,
-                          skip rates, auto-mode picks and the
+                          skip rates and the
                           results_identical flags are pure functions of
                           (config, seed) — any drift means the simulation
                           changed and the baselines need a deliberate
@@ -244,11 +244,7 @@ def compare_scale(fresh: dict, base: dict, args) -> None:
         check(fr.get("results_identical") is True,
               f"scale[n={nodes}]: grid diverged from brute "
               "(results_identical false)")
-        check(fr.get("auto_picked") == br.get("auto_picked"),
-              f"scale[n={nodes}]: auto mode picked "
-              f"'{fr.get('auto_picked')}' (baseline "
-              f"'{br.get('auto_picked')}')")
-        for mode in ("brute", "grid", "auto"):
+        for mode in ("brute", "grid"):
             for column in SCALE_EXACT:
                 check(fr[mode][column] == br[mode][column],
                       f"scale[n={nodes}].{mode}.{column}: "
@@ -266,8 +262,8 @@ def self_scale(data: dict) -> None:
         nodes = row.get("nodes", "?")
         check(row.get("results_identical") is True,
               f"scale[n={nodes}]: results_identical is not true")
-        modes = [m for m in ("brute", "grid", "auto") if m in row]
-        check(len(modes) == 3, f"scale[n={nodes}]: missing a serving mode")
+        modes = [m for m in ("brute", "grid") if m in row]
+        check(len(modes) == 2, f"scale[n={nodes}]: missing a serving mode")
         accepted = {row[m]["accepted"] for m in modes}
         check(len(accepted) == 1,
               f"scale[n={nodes}]: accepted counts differ across modes "

@@ -10,6 +10,7 @@
 //   mstc_sim --help
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -17,6 +18,7 @@
 #include "obs/probe.hpp"
 #include "runner/scenario.hpp"
 #include "runner/sweep.hpp"
+#include "topology/protocol.hpp"
 #include "util/args.hpp"
 #include "util/options.hpp"
 #include "util/rusage.hpp"
@@ -24,13 +26,15 @@
 
 namespace {
 
-constexpr const char* kHelp =
+constexpr const char* kHelpHead =
     R"(mstc_sim — mobility-sensitive topology control simulator
 
 options (defaults in brackets):
-  --protocol NAME     MST | RNG | SPT-2 | SPT-4 | Gabriel | Yao | Yao2 |
-                      Yao3 | CBTC | CBTC2 | CBTC3 | KNeigh | None   [RNG]
-  --mode NAME         latest | viewsync | proactive | reactive | weak [latest]
+)";
+
+// Follows the --protocol lines, which protocol_help() builds.
+constexpr const char* kHelpTail =
+    R"(  --mode NAME         latest | viewsync | proactive | reactive | weak [latest]
   --speed V           average node speed, m/s                       [10]
   --mobility NAME     waypoint | static | walk | gauss              [waypoint]
   --buffer L          buffer-zone width, m                          [0]
@@ -65,6 +69,29 @@ observability (all off by default; see docs/OBSERVABILITY.md):
   --progress          report sweep progress + ETA on stderr
 )";
 
+/// The --protocol lines, wrapped under the option column. The names come
+/// from topology::protocol_names(), so the help cannot drift from what
+/// make_protocol accepts.
+std::string protocol_help() {
+  const std::string indent(22, ' ');
+  std::string text = "  --protocol NAME     ";
+  std::size_t column = text.size();
+  const std::vector<std::string> names = mstc::topology::protocol_names();
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    const std::string item = i + 1 < names.size() ? names[i] + " |" : names[i];
+    if (column + 1 + item.size() > 74) {
+      text += "\n" + indent;
+      column = indent.size();
+    } else if (i > 0) {
+      text += ' ';
+      ++column;
+    }
+    text += item;
+    column += item.size();
+  }
+  return text + "   [RNG]\n";
+}
+
 void print_progress(const mstc::runner::SweepProgress& progress) {
   if (progress.eta_known) {
     std::fprintf(stderr, "\r[%zu/%zu] %.1fs elapsed, eta %.1fs   ",
@@ -90,7 +117,9 @@ int main(int argc, char** argv) {
   using namespace mstc;
   const util::ArgParser args(argc, argv);
   if (args.get_flag("help")) {
-    std::fputs(kHelp, stdout);
+    std::fputs(kHelpHead, stdout);
+    std::fputs(protocol_help().c_str(), stdout);
+    std::fputs(kHelpTail, stdout);
     return 0;
   }
 
@@ -110,6 +139,11 @@ int main(int argc, char** argv) {
     cfg.hello_loss = args.get("hello-loss", 0.0);
     cfg.seed = static_cast<std::uint64_t>(args.get("seed", 1L));
     const std::size_t repeats = args.get_count("repeats", 5);
+    // No replication means no sample: the summaries would print 0 ± inf.
+    if (repeats == 0) {
+      throw std::invalid_argument(
+          "--repeats: expected a positive integer, got '0'");
+    }
 
     const std::string trace_path = args.get("trace", std::string());
     const std::string trace_jsonl_path = args.get("trace-jsonl", std::string());
